@@ -6,7 +6,6 @@ crosstalk on 2-colorable qubit graphs, verifies first-order suppression via
 control-matrix integrals, and reproduces the survival-probability experiment
 pipeline in exact small-scale simulation.
 """
-from ._kernels import NUMBA_ENABLED, backend_name
 from .sequences import (
     ColoredSchedule, PulseShape, PulseSpec, QubitGraph, Segment, Sequence,
     build_named, cr_dd, cr_variant, envelope_amplitude, named_phases, pad,

@@ -1,17 +1,18 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels, one numpy implementation each.
 
-The active backend is chosen at import time: numba when importable, unless the
-environment variable ``CRDD_NUMBA`` is set to ``0``/``off``/``false`` (then the
-pure-numpy path is used).  ``benchmarks/bench_kernels.py`` times both.
-
-Kernels:
+``cf4_steps``
+    Per-step coefficients of the fourth-order commutator-free (CF4)
+    integrator for a single-qubit drive: two closed-form SU(2) factors per
+    step, built from the complex drive rate sampled at the two Gauss nodes.
 
 ``su2_chain``
     Sequential composition of per-step SU(2) factors
     ``U <- exp(-i(dx X + dy Y)/2) exp(-i(cx X + cy Y)/2) U`` recording the
     unitary after every step.  Steps with all-zero coefficients copy the node
-    (used for delays and duplicated piece boundaries); steps with only a
-    (cx, cy) pair realize instantaneous rotations.
+    exactly (used for delays and duplicated piece boundaries); steps with only
+    a (cx, cy) pair realize instantaneous rotations.  The prefix products are
+    formed as unit quaternions by a work-efficient log-depth scan (Blelloch
+    1990).
 
 ``rk4_evolve``
     Fixed-step RK4 for ``dpsi/dt = -i H(t) psi`` with
@@ -20,163 +21,85 @@ Kernels:
     coefficients are sampled per step at (start, midpoint, end) so segment
     boundaries stay one-sided.
 """
-import os
+import math
 
 import numpy as np
 
-_env = os.environ.get("CRDD_NUMBA", "auto").strip().lower()
-if _env in ("0", "off", "false", "no"):
-    NUMBA_ENABLED = False
-else:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
+_SQRT3 = math.sqrt(3.0)
+_GAUSS_NODES = (0.5 - _SQRT3 / 6, 0.5 + _SQRT3 / 6)
+_CF4_WEIGHTS = (0.25 + _SQRT3 / 6, 0.25 - _SQRT3 / 6)
 
 
-def backend_name():
-    return "numba" if NUMBA_ENABLED else "numpy"
+def cf4_steps(w1, w2, h):
+    """CF4 step coefficients ``(cx, cy, dx, dy)`` for steps of length ``h``.
+
+    ``w1`` and ``w2`` are the complex drive rates ``wx + i wy`` sampled at
+    ``t0 + g1 h`` and ``t0 + g2 h`` (``g1, g2 = _GAUSS_NODES``) of each step.
+    """
+    a1, a2 = _CF4_WEIGHTS
+    c = h * (a1 * w1 + a2 * w2)
+    d = h * (a2 * w1 + a1 * w2)
+    return c.real, c.imag, d.real, d.imag
 
 
 # ---------------------------------------------------------------------------
 # SU(2) chain
 # ---------------------------------------------------------------------------
 
-def _su2_chain_loop(cx, cy, dx, dy, out):
-    n = cx.shape[0]
-    u00 = out[0, 0, 0]
-    u01 = out[0, 0, 1]
-    u10 = out[0, 1, 0]
-    u11 = out[0, 1, 1]
-    for i in range(n):
-        ax = cx[i]
-        ay = cy[i]
-        th = np.hypot(ax, ay)
-        if th > 0.0:
-            c = np.cos(0.5 * th)
-            s = np.sin(0.5 * th) / th
-            e01 = -1j * s * (ax - 1j * ay)
-            e10 = -1j * s * (ax + 1j * ay)
-            v00 = c * u00 + e01 * u10
-            v01 = c * u01 + e01 * u11
-            v10 = e10 * u00 + c * u10
-            v11 = e10 * u01 + c * u11
-            u00, u01, u10, u11 = v00, v01, v10, v11
-        ax = dx[i]
-        ay = dy[i]
-        th = np.hypot(ax, ay)
-        if th > 0.0:
-            c = np.cos(0.5 * th)
-            s = np.sin(0.5 * th) / th
-            e01 = -1j * s * (ax - 1j * ay)
-            e10 = -1j * s * (ax + 1j * ay)
-            v00 = c * u00 + e01 * u10
-            v01 = c * u01 + e01 * u11
-            v10 = e10 * u00 + c * u10
-            v11 = e10 * u01 + c * u11
-            u00, u01, u10, u11 = v00, v01, v10, v11
-        out[i + 1, 0, 0] = u00
-        out[i + 1, 0, 1] = u01
-        out[i + 1, 1, 0] = u10
-        out[i + 1, 1, 1] = u11
+def _quat_mul(a, b):
+    """Quaternion of U(a) U(b), with U(q) = q0 I - i (q1 X + q2 Y + q3 Z)."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return np.stack((a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                     a0 * b1 + b0 * a1 + a2 * b3 - a3 * b2,
+                     a0 * b2 + b0 * a2 + a3 * b1 - a1 * b3,
+                     a0 * b3 + b0 * a3 + a1 * b2 - a2 * b1))
 
 
-def su2_chain_numpy(cx, cy, dx, dy, out):
-    """Pure-numpy fallback: vectorized factor construction, scalar product loop."""
-    n = cx.shape[0]
+def _rotation_quat(ax, ay):
+    """Quaternion of exp(-i (ax X + ay Y) / 2); zero rates give exactly I."""
+    th = np.hypot(ax, ay)
+    s = np.sin(0.5 * th) / np.where(th > 0.0, th, 1.0)
+    return np.stack((np.cos(0.5 * th), s * ax, s * ay, np.zeros_like(th)))
 
-    def factors(ax, ay):
-        th = np.hypot(ax, ay)
-        safe = np.where(th > 0.0, th, 1.0)
-        s = np.where(th > 0.0, np.sin(0.5 * th) / safe, 0.0)
-        c = np.cos(0.5 * th)
-        return c, -1j * s * (ax - 1j * ay), -1j * s * (ax + 1j * ay)
 
-    c1, o1, r1 = factors(cx, cy)
-    c2, o2, r2 = factors(dx, dy)
-    u00 = complex(out[0, 0, 0])
-    u01 = complex(out[0, 0, 1])
-    u10 = complex(out[0, 1, 0])
-    u11 = complex(out[0, 1, 1])
-    for i in range(n):
-        ca, oa, ra = c1[i], o1[i], r1[i]
-        v00 = ca * u00 + oa * u10
-        v01 = ca * u01 + oa * u11
-        v10 = ra * u00 + ca * u10
-        v11 = ra * u01 + ca * u11
-        cb, ob, rb = c2[i], o2[i], r2[i]
-        u00 = cb * v00 + ob * v10
-        u01 = cb * v01 + ob * v11
-        u10 = rb * v00 + cb * v10
-        u11 = rb * v01 + cb * v11
-        out[i + 1, 0, 0] = u00
-        out[i + 1, 0, 1] = u01
-        out[i + 1, 1, 0] = u10
-        out[i + 1, 1, 1] = u11
+def _prefix_products(q):
+    """Inclusive prefix products ``q[:, k] ... q[:, 0]`` by the work-efficient
+    pairwise scan: combine neighbours, scan the half-length list, then fill in
+    the even entries."""
+    m = q.shape[1]
+    if m < 2:
+        return q
+    odd = _prefix_products(_quat_mul(q[:, 1::2], q[:, 0:-1:2]))
+    out = np.empty_like(q)
+    out[:, 0] = q[:, 0]
+    out[:, 1::2] = odd
+    out[:, 2::2] = _quat_mul(q[:, 2::2], odd[:, :(m - 1) // 2])
+    return out
+
+
+def su2_chain(cx, cy, dx, dy, out):
+    """Fill ``out[1:]`` with the unitaries after each step, from ``out[0]``."""
+    moving = (cx != 0.0) | (cy != 0.0) | (dx != 0.0) | (dy != 0.0)
+    steps = _quat_mul(_rotation_quat(dx[moving], dy[moving]),
+                      _rotation_quat(cx[moving], cy[moving]))
+    # column k is the product of the first k moving steps; a zero step
+    # reuses the column of the last moving step, so its node is copied exactly
+    prefix = np.concatenate(([[1.0], [0.0], [0.0], [0.0]], _prefix_products(steps)), axis=1)
+    w, x, y, z = prefix[:, np.cumsum(moving)]
+    u = np.empty((w.shape[0], 2, 2), dtype=np.complex128)
+    u.real[:, 0, 0], u.imag[:, 0, 0] = w, -z
+    u.real[:, 0, 1], u.imag[:, 0, 1] = -y, -x
+    u.real[:, 1, 0], u.imag[:, 1, 0] = y, -x
+    u.real[:, 1, 1], u.imag[:, 1, 1] = w, z
+    np.einsum("nij,jk->nik", u, out[0].copy(), out=out[1:])
 
 
 # ---------------------------------------------------------------------------
 # Matrix-free RK4 statevector / propagator evolution
 # ---------------------------------------------------------------------------
 
-def _apply_h_loop(out, psi, ax, ay, diag, nq):
-    # out = -i H psi with H = sum_q ax[q] X_q + ay[q] Y_q + diag(diag)
-    dim, ncol = psi.shape
-    for j in range(dim):
-        for c in range(ncol):
-            out[j, c] = diag[j] * psi[j, c]
-    for q in range(nq):
-        a = ax[q]
-        b = ay[q]
-        if a == 0.0 and b == 0.0:
-            continue
-        bit = 1 << (nq - 1 - q)
-        for j in range(dim):
-            jj = j ^ bit
-            if j & bit:
-                coef = a + 1j * b
-            else:
-                coef = a - 1j * b
-            for c in range(ncol):
-                out[j, c] += coef * psi[jj, c]
-    for j in range(dim):
-        for c in range(ncol):
-            out[j, c] = -1j * out[j, c]
-
-
-def _rk4_evolve_loop(psi, ax, ay, diag, h, reps):
-    nsteps = ax.shape[0]
-    nq = ax.shape[2]
-    k1 = np.empty_like(psi)
-    k2 = np.empty_like(psi)
-    k3 = np.empty_like(psi)
-    k4 = np.empty_like(psi)
-    tmp = np.empty_like(psi)
-    dim, ncol = psi.shape
-    for _ in range(reps):
-        for s in range(nsteps):
-            hs = h[s]
-            _apply_h_jit(k1, psi, ax[s, 0], ay[s, 0], diag, nq)
-            for j in range(dim):
-                for c in range(ncol):
-                    tmp[j, c] = psi[j, c] + 0.5 * hs * k1[j, c]
-            _apply_h_jit(k2, tmp, ax[s, 1], ay[s, 1], diag, nq)
-            for j in range(dim):
-                for c in range(ncol):
-                    tmp[j, c] = psi[j, c] + 0.5 * hs * k2[j, c]
-            _apply_h_jit(k3, tmp, ax[s, 1], ay[s, 1], diag, nq)
-            for j in range(dim):
-                for c in range(ncol):
-                    tmp[j, c] = psi[j, c] + hs * k3[j, c]
-            _apply_h_jit(k4, tmp, ax[s, 2], ay[s, 2], diag, nq)
-            for j in range(dim):
-                for c in range(ncol):
-                    psi[j, c] += (hs / 6.0) * (k1[j, c] + 2.0 * k2[j, c] + 2.0 * k3[j, c] + k4[j, c])
-
-
-def apply_h_numpy(psi, ax, ay, diag, nq):
+def apply_h(psi, ax, ay, diag, nq):
     """out = -i H psi, vectorized; psi shape (dim, ncol)."""
     out = diag[:, None] * psi
     dim = psi.shape[0]
@@ -194,28 +117,14 @@ def apply_h_numpy(psi, ax, ay, diag, nq):
     return -1j * out
 
 
-def rk4_evolve_numpy(psi, ax, ay, diag, h, reps):
+def rk4_evolve(psi, ax, ay, diag, h, reps):
     nsteps = ax.shape[0]
     nq = ax.shape[2]
     for _ in range(reps):
         for s in range(nsteps):
             hs = h[s]
-            k1 = apply_h_numpy(psi, ax[s, 0], ay[s, 0], diag, nq)
-            k2 = apply_h_numpy(psi + (0.5 * hs) * k1, ax[s, 1], ay[s, 1], diag, nq)
-            k3 = apply_h_numpy(psi + (0.5 * hs) * k2, ax[s, 1], ay[s, 1], diag, nq)
-            k4 = apply_h_numpy(psi + hs * k3, ax[s, 2], ay[s, 2], diag, nq)
+            k1 = apply_h(psi, ax[s, 0], ay[s, 0], diag, nq)
+            k2 = apply_h(psi + (0.5 * hs) * k1, ax[s, 1], ay[s, 1], diag, nq)
+            k3 = apply_h(psi + (0.5 * hs) * k2, ax[s, 1], ay[s, 1], diag, nq)
+            k4 = apply_h(psi + hs * k3, ax[s, 2], ay[s, 2], diag, nq)
             psi += (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-if NUMBA_ENABLED:
-    su2_chain_numba = njit(cache=True)(_su2_chain_loop)
-    _apply_h_jit = njit(cache=True)(_apply_h_loop)
-    rk4_evolve_numba = njit(cache=True)(_rk4_evolve_loop)
-    su2_chain = su2_chain_numba
-    rk4_evolve = rk4_evolve_numba
-else:
-    _apply_h_jit = _apply_h_loop
-    su2_chain_numba = None
-    rk4_evolve_numba = None
-    su2_chain = su2_chain_numpy
-    rk4_evolve = rk4_evolve_numpy

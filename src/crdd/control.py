@@ -30,9 +30,6 @@ __all__ = [
 ]
 
 AXES = "XYZ"
-_SQRT3 = math.sqrt(3.0)
-_GAUSS_NODES = (0.5 - _SQRT3 / 6, 0.5 + _SQRT3 / 6)
-_CF4_WEIGHTS = (0.25 + _SQRT3 / 6, 0.25 - _SQRT3 / 6)
 
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -155,8 +152,7 @@ def _plan_sequence(sequence, samples_per_pulse, extra_breakpoints=(),
     pieces, events = [], []
     node = 0
     sep_needed = False  # insert a duplicate-node marker before the next piece
-    a1, a2 = _CF4_WEIGHTS
-    g1, g2 = _GAUSS_NODES
+    g1, g2 = _kernels._GAUSS_NODES
 
     def marker():
         nonlocal node
@@ -200,18 +196,14 @@ def _plan_sequence(sequence, samples_per_pulse, extra_breakpoints=(),
             else:
                 p = seg.pulse
                 t0 = lo + np.arange(n) * hs
+                axis = complex(math.cos(p.phase), math.sin(p.phase))
                 w1i, w1q = envelope_amplitude(p.shape, p.flip_angle, seg.duration, t0 + g1 * hs)
                 w2i, w2q = envelope_amplitude(p.shape, p.flip_angle, seg.duration, t0 + g2 * hs)
-                cph, sph = math.cos(p.phase), math.sin(p.phase)
-                hx1 = w1i * cph - w1q * sph
-                hy1 = w1i * sph + w1q * cph
-                hx2 = w2i * cph - w2q * sph
-                hy2 = w2i * sph + w2q * cph
+                steps = _kernels.cf4_steps((w1i + 1j * w1q) * axis,
+                                           (w2i + 1j * w2q) * axis, hs)
                 dt.extend([hs] * n)
-                cx.extend(hs * (a1 * hx1 + a2 * hx2))
-                cy.extend(hs * (a1 * hy1 + a2 * hy2))
-                dx.extend(hs * (a2 * hx1 + a1 * hx2))
-                dy.extend(hs * (a2 * hy1 + a1 * hy2))
+                for acc, col in zip((cx, cy, dx, dy), steps):
+                    acc.extend(col)
             node += n
             pieces.append((i0, node))
             sep_needed = True

@@ -10,6 +10,7 @@ independent of execution order.
 """
 from __future__ import annotations
 
+import csv
 import math
 import re
 from dataclasses import dataclass, field
@@ -295,11 +296,11 @@ def run_experiment(plan, out_path=None):
         plan.target_pulses, plan.spacing, plan.max_points)
 
     records, failures = [], []
-    fh = open(out_path, "w") if out_path else None
-    header = "method,embedding_id,state_id,duration_s,pulses,shots,zeros,p0\n"
-    if fh:
-        fh.write(header)
+    fh = open(out_path, "w", newline="") if out_path else None
     try:
+        if fh:
+            writer = _csv_writer(fh)
+            writer.writerow(RESULTS_HEADER)
         for e_idx, emb in enumerate(plan.embeddings):
             sub = device.subdevice(emb)
             emb_id = "-".join(str(v) for v in emb)
@@ -316,26 +317,22 @@ def run_experiment(plan, out_path=None):
                     rec = SurvivalRecord(spec.label, emb_id, state.label, cells[s_idx])
                     records.append(rec)
                 if fh:
-                    # append completed cells as they land, then rewrite in
-                    # canonical order once the run finishes
+                    # append completed cells as they land; the finished file is
+                    # rewritten in canonical order below
                     for pt_list, state in zip(cells, states):
                         for pt in pt_list:
-                            fh.write(_format_row((spec.label, emb_id, state.label,
-                                                  pt.duration_s, pt.pulses_applied,
-                                                  pt.shots, pt.zero_count,
-                                                  pt.p0_estimate)))
+                            writer.writerow(_format_row((spec.label, emb_id, state.label,
+                                                         pt.duration_s, pt.pulses_applied,
+                                                         pt.shots, pt.zero_count,
+                                                         pt.p0_estimate)))
                     fh.flush()
-        result = ExperimentResult(plan, records, failures)
-        if fh:
-            fh.seek(0)
-            fh.truncate()
-            fh.write(header)
-            for row in result.rows():
-                fh.write(_format_row(row))
-        return result
     finally:
         if fh:
             fh.close()
+    result = ExperimentResult(plan, records, failures)
+    if out_path:
+        write_results_csv(result, out_path)
+    return result
 
 
 def _run_method_cells(plan, sub, spec, method_points, states, e_idx, m_idx):
@@ -380,34 +377,47 @@ def _collect(plan, states, encs, u, dur, pulses, cells, e_idx, m_idx, d_idx):
 # CSV interchange
 # ---------------------------------------------------------------------------
 
+RESULTS_HEADER = ("method", "embedding_id", "state_id", "duration_s", "pulses", "shots",
+                  "zeros", "p0")
+FITS_HEADER = ("method", "embedding_id", "A", "gamma_per_s", "c", "tau_gamma_s", "rss", "flag")
+SUMMARY_HEADER = ("n", "method", "sim_median_tau_s", "sim_iqr_s", "cr_median_tau_s",
+                  "cr_iqr_s", "sim_over_idle", "cr_over_sim")
+
+
+def _csv_writer(fh):
+    # minimal quoting: only fields holding a comma (e.g. "CR-(XY4,UR12)") are quoted
+    return csv.writer(fh, lineterminator="\n")
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = _csv_writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def _format_row(row):
     m, e, s, dur, pulses, shots, zeros, p0 = row
-    return f"{m},{e},{s},{repr(float(dur))},{pulses},{shots},{zeros},{repr(float(p0))}\n"
+    return (m, e, s, float(dur), pulses, shots, zeros, float(p0))
 
 
 def write_results_csv(result, path):
-    with open(path, "w") as fh:
-        fh.write("method,embedding_id,state_id,duration_s,pulses,shots,zeros,p0\n")
-        for row in result.rows():
-            fh.write(_format_row(row))
+    _write_csv(path, RESULTS_HEADER, (_format_row(row) for row in result.rows()))
 
 
 def read_results_csv(path):
     """Rows as dicts (method, embedding_id, state_id, duration_s, pulses,
     shots, zeros, p0)."""
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            vals = line.strip().split(",")
-            d = dict(zip(header, vals))
-            rows.append({
-                "method": d["method"], "embedding_id": d["embedding_id"],
-                "state_id": d["state_id"], "duration_s": float(d["duration_s"]),
-                "pulses": int(d["pulses"]), "shots": int(d["shots"]),
-                "zeros": int(d["zeros"]), "p0": float(d["p0"]),
-            })
-    return rows
+    return [{"method": d["method"], "embedding_id": d["embedding_id"],
+             "state_id": d["state_id"], "duration_s": float(d["duration_s"]),
+             "pulses": int(d["pulses"]), "shots": int(d["shots"]),
+             "zeros": int(d["zeros"]), "p0": float(d["p0"])}
+            for d in _read_csv(path)]
 
 
 @dataclass(frozen=True)
@@ -441,23 +451,14 @@ def fit_dataset(rows):
 
 
 def write_fits_csv(fits, path):
-    with open(path, "w") as fh:
-        fh.write("method,embedding_id,A,gamma_per_s,c,tau_gamma_s,rss,flag\n")
-        for f in fits:
-            fh.write(f"{f.method},{f.embedding_id},{repr(f.A)},{repr(f.gamma)},"
-                     f"{repr(f.c)},{repr(f.tau_gamma)},{repr(f.rss)},{f.flag}\n")
+    _write_csv(path, FITS_HEADER, ((f.method, f.embedding_id, f.A, f.gamma, f.c,
+                                    f.tau_gamma, f.rss, f.flag) for f in fits))
 
 
 def read_fits_csv(path):
-    fits = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            d = dict(zip(header, line.strip().split(",")))
-            fits.append(FitRow(d["method"], d["embedding_id"], float(d["A"]),
-                               float(d["gamma_per_s"]), float(d["c"]),
-                               float(d["tau_gamma_s"]), float(d["rss"]), d["flag"]))
-    return fits
+    return [FitRow(d["method"], d["embedding_id"], float(d["A"]), float(d["gamma_per_s"]),
+                   float(d["c"]), float(d["tau_gamma_s"]), float(d["rss"]), d["flag"])
+            for d in _read_csv(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -469,21 +470,10 @@ class SummaryTable:
     rows: tuple  # (n, base, sim_median, sim_iqr, cr_median, cr_iqr, sim/idle, cr/sim)
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("n,method,sim_median_tau_s,sim_iqr_s,cr_median_tau_s,"
-                     "cr_iqr_s,sim_over_idle,cr_over_sim\n")
-            for row in self.rows:
-                cells = []
-                for v in row:
-                    if v is None:
-                        cells.append("")
-                    elif isinstance(v, str):
-                        cells.append(v)
-                    elif isinstance(v, int):
-                        cells.append(str(v))
-                    else:
-                        cells.append(repr(float(v)))
-                fh.write(",".join(cells) + "\n")
+        # None -> empty cell; floats (numpy ones too) are written as repr(float)
+        _write_csv(path, SUMMARY_HEADER,
+                   ([v if v is None or isinstance(v, (str, int)) else float(v) for v in row]
+                    for row in self.rows))
 
     def ratio(self, base, column):
         for row in self.rows:

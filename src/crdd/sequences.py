@@ -303,9 +303,6 @@ def _gaussian_waveform(theta, tau_p, sigma, t):
 # (sigma/tau_p, drag_coefficient).  See _calibrate_drag.
 _DRAG_CALIBRATIONS = {}
 _CAL_SAMPLES = 1024
-_SQRT3 = math.sqrt(3.0)
-_GAUSS_NODES = (0.5 - _SQRT3 / 6, 0.5 + _SQRT3 / 6)
-_CF4_WEIGHTS = (0.25 + _SQRT3 / 6, 0.25 - _SQRT3 / 6)
 
 
 def _drag_complex_envelope(theta, tau_p, sigma, beta, scale, detuning, t):
@@ -319,17 +316,11 @@ def _drag_pulse_unitary(theta, sigma_ratio, beta, scale, detuning):
     n = _CAL_SAMPLES
     h = 1.0 / n
     t0 = np.arange(n) * h
-    c1, c2 = _GAUSS_NODES
-    a1, a2 = _CF4_WEIGHTS
-    w1 = _drag_complex_envelope(theta, 1.0, sigma_ratio, beta, scale, detuning, t0 + c1 * h)
-    w2 = _drag_complex_envelope(theta, 1.0, sigma_ratio, beta, scale, detuning, t0 + c2 * h)
-    cx = h * (a1 * w1.real + a2 * w2.real)
-    cy = h * (a1 * w1.imag + a2 * w2.imag)
-    dx = h * (a2 * w1.real + a1 * w2.real)
-    dy = h * (a2 * w1.imag + a1 * w2.imag)
+    w1, w2 = (_drag_complex_envelope(theta, 1.0, sigma_ratio, beta, scale, detuning,
+                                     t0 + g * h) for g in _kernels._GAUSS_NODES)
     out = np.empty((n + 1, 2, 2), dtype=np.complex128)
     out[0] = np.eye(2)
-    _kernels.su2_chain(cx, cy, dx, dy, out)
+    _kernels.su2_chain(*_kernels.cf4_steps(w1, w2, h), out)
     return out[-1]
 
 
@@ -341,41 +332,45 @@ def _calibrate_drag(sigma_ratio, beta):
     this away; here a Newton solve on (scale, detuning) zeroes the identity and
     Z components of the endpoint unitary, leaving exactly exp(-i pi/2 X) for a
     phase-0 pulse.  The even/odd waveform symmetry keeps the Y component zero
-    throughout.
+    throughout.  The solve is continued in beta from the plain gaussian
+    (scale 1, no detuning at beta = 0) in steps of at most 0.1, so every
+    Newton start sits next to the root on that branch; started cold at a large
+    beta the iteration wanders and may settle on a larger-amplitude root.
     """
     key = (round(sigma_ratio, 12), round(beta, 12))
     if key in _DRAG_CALIBRATIONS:
         return _DRAG_CALIBRATIONS[key]
 
-    def components(scale, detuning):
-        u = _drag_pulse_unitary(math.pi, sigma_ratio, beta, scale, detuning)
+    def components(b, scale, detuning):
+        u = _drag_pulse_unitary(math.pi, sigma_ratio, b, scale, detuning)
         a = (u[0, 0] + u[1, 1]).real / 2
         bz = -((u[0, 0] - u[1, 1]) / 2).imag
         return np.array([a, bz])
 
     p = np.array([1.0, 0.0])
-    f = components(*p)
-    for _ in range(60):
-        if np.abs(f).max() < 1e-14:
-            break
-        jac = np.empty((2, 2))
-        eps = 1e-7
-        for j in range(2):
-            q = p.copy()
-            q[j] += eps
-            jac[:, j] = (components(*q) - f) / eps
-        step = np.linalg.solve(jac, f)
-        lam = 1.0
-        for _ in range(10):
-            cand = p - lam * step
-            fc = components(*cand)
-            if np.abs(fc).max() < np.abs(f).max():
-                p, f = cand, fc
+    for b in np.linspace(0.0, beta, max(1, math.ceil(abs(beta) / 0.1)) + 1)[1:]:
+        f = components(b, *p)
+        for _ in range(60):
+            if np.abs(f).max() < 1e-14:
                 break
-            lam /= 2
-        else:
-            p = p - 0.1 * step
-            f = components(*p)
+            jac = np.empty((2, 2))
+            eps = 1e-7
+            for j in range(2):
+                q = p.copy()
+                q[j] += eps
+                jac[:, j] = (components(b, *q) - f) / eps
+            step = np.linalg.solve(jac, f)
+            lam = 1.0
+            for _ in range(10):
+                cand = p - lam * step
+                fc = components(b, *cand)
+                if np.abs(fc).max() < np.abs(f).max():
+                    p, f = cand, fc
+                    break
+                lam /= 2
+            else:
+                p = p - 0.1 * step
+                f = components(b, *p)
     if np.abs(f).max() > 1e-12:
         raise RuntimeError(
             f"drag calibration failed for sigma/tau_p={sigma_ratio}, beta={beta}")

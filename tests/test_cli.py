@@ -27,10 +27,10 @@ def sched_json(tmp_path):
     return path
 
 
-def tiny_plan_json(tmp_path):
+def tiny_plan_json(tmp_path, methods=("SIM-XY4-2", "CR-XY4"), target_pulses=16):
     plan = ExperimentPlan(
         device=DeviceModel.default(n=2, seed=5), embeddings=((0, 1),),
-        methods=("SIM-XY4-2", "CR-XY4"), target_pulses=16, shots=40, seed=1,
+        methods=methods, target_pulses=target_pulses, shots=40, seed=1,
         count_type1=1, count_type2=1, samples_per_pulse=64, max_points=4)
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(plan.to_dict()))
@@ -118,6 +118,18 @@ class TestSimFitSummarizeReport:
                    "--out-dir", str(plots)) == 0
         assert (plots / "survival.svg").exists()
         assert (plots / "tau_gamma_box.svg").exists()
+
+    def test_comma_label_chain(self, tmp_path):
+        plan = tiny_plan_json(tmp_path, methods=("SIM-XY4-2", "CR-(XY4,UR12)"),
+                              target_pulses=48)
+        results, fits = tmp_path / "results.csv", tmp_path / "fits.csv"
+        assert run("sim", "run", "--plan", str(plan), "--seed", "1",
+                   "--out", str(results)) == 0
+        assert run("fit", "--in", str(results), "--out", str(fits)) == 0
+        assert run("summarize", "--fits", str(fits),
+                   "--out", str(tmp_path / "summary.csv")) == 0
+        assert run("report", "--results", str(results), "--fits", str(fits),
+                   "--out-dir", str(tmp_path / "plots")) == 0
 
     def test_sim_run_deterministic(self, tmp_path):
         plan = tiny_plan_json(tmp_path)

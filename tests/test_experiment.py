@@ -1,11 +1,14 @@
+import csv
+
 import pytest
 
 from crdd.experiment import (
-    AlignmentError, ExperimentPlan, FitRow, default_plan, fit_dataset,
-    parse_method, path_embeddings, run_experiment, schedule_points, summarize,
+    AlignmentError, ExperimentPlan, ExperimentResult, FitRow, default_plan, fit_dataset,
+    parse_method, path_embeddings, read_fits_csv, read_results_csv, run_experiment,
+    schedule_points, summarize, write_fits_csv, write_results_csv,
 )
 from crdd.sequences import QubitGraph, two_color
-from crdd.sim import DeviceModel
+from crdd.sim import DeviceModel, SurvivalPoint, SurvivalRecord
 
 
 def tiny_plan(**overrides):
@@ -198,6 +201,40 @@ class TestFitsAndSummary:
         header = path.read_text().splitlines()[0]
         assert header == ("n,method,sim_median_tau_s,sim_iqr_s,cr_median_tau_s,"
                           "cr_iqr_s,sim_over_idle,cr_over_sim")
+
+
+class TestCsvLabels:
+    # one label per grammar form: IDLE, SIM-X, SIM-X-k, CR-X, CR-X-kS|A,
+    # CR-(X,Y), CR-(X,Y)-kS|A
+    LABELS = ("IDLE", "SIM-XY4", "SIM-UR10-8", "CR-KDD", "CR-XY4-2S", "CR-XY4-4A",
+              "CR-(XY4,UR12)", "CR-(XY4,UR12)-2A")
+
+    def test_roundtrip_results_fits_summary(self, tmp_path):
+        records = [SurvivalRecord(label, "0-1", "type1_+z", [
+            SurvivalPoint(d * 1e-6, 4 * d, 100, z, z / 100)
+            for d, z in zip(range(1, 7), (95, 88, 80, 74, 70, 66))])
+            for label in self.LABELS]
+        result = ExperimentResult(None, records, [])
+        results = tmp_path / "results.csv"
+        write_results_csv(result, results)
+        rows = read_results_csv(results)
+        assert rows == result.row_dicts()
+
+        fits = fit_dataset(rows)
+        assert {f.method for f in fits} == set(self.LABELS)
+        path = tmp_path / "fits.csv"
+        write_fits_csv(fits, path)
+        assert read_fits_csv(path) == fits
+
+        summary = tmp_path / "summary.csv"
+        summarize(fits, 2).to_csv(summary)
+        with open(summary, newline="") as fh:
+            table = list(csv.reader(fh))
+        assert all(len(row) == 8 for row in table)
+        bases = {"IDLE"} | {parse_method(m).base_name() for m in self.LABELS[1:]}
+        assert {row[1] for row in table[1:]} == bases
+        assert '"CR-(XY4,UR12)-2A"' in results.read_text()
+        assert '2,"(XY4,UR12)",' in summary.read_text()
 
 
 class TestEmbeddings:

@@ -1,63 +1,66 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 
-import crdd
 from crdd import _kernels
 
+X = np.array([[0, 1], [1, 0]], complex)
+Y = np.array([[0, -1j], [1j, 0]], complex)
 
-def random_su2_steps(n, seed=0, scale=0.02):
-    rng = np.random.default_rng(seed)
-    return tuple(rng.normal(0, scale, n) for _ in range(4))
+
+def rotation(ax, ay):
+    """exp(-i (ax X + ay Y) / 2) in closed form."""
+    th = np.hypot(ax, ay)
+    if th == 0.0:
+        return np.eye(2, dtype=complex)
+    return np.cos(th / 2) * np.eye(2) - 1j * np.sin(th / 2) / th * (ax * X + ay * Y)
+
+
+def chain(cx, cy, dx, dy, u0):
+    out = np.empty((len(cx) + 1, 2, 2), complex)
+    out[0] = u0
+    _kernels.su2_chain(cx, cy, dx, dy, out)
+    return out
 
 
 class TestSu2Chain:
-    def test_backends_agree(self):
-        cx, cy, dx, dy = random_su2_steps(4096, seed=1)
-        out_a = np.empty((4097, 2, 2), complex)
-        out_a[0] = np.eye(2)
-        out_b = out_a.copy()
-        _kernels.su2_chain(cx, cy, dx, dy, out_a)
-        _kernels.su2_chain_numpy(cx, cy, dx, dy, out_b)
-        assert np.abs(out_a - out_b).max() < 1e-13
+    def test_matches_sequential_product(self):
+        rng = np.random.default_rng(1)
+        n = 301
+        cx, cy, dx, dy = rng.normal(0, 0.3, (4, n))
+        zero = rng.random(n) < 0.3
+        for a in (cx, cy, dx, dy):
+            a[zero] = 0.0
+        # instantaneous pi rotations about equatorial axes
+        for i, phase in ((7, 0.0), (100, np.pi / 2), (250, 1.3)):
+            cx[i], cy[i], dx[i], dy[i] = np.pi * np.cos(phase), np.pi * np.sin(phase), 0, 0
+            zero[i] = False
+        u0 = rotation(0.4, -1.1) @ np.diag([1j, 1j])
+        out = chain(cx, cy, dx, dy, u0)
+        expected = u0
+        for i in range(n):
+            expected = rotation(dx[i], dy[i]) @ rotation(cx[i], cy[i]) @ expected
+            assert np.abs(out[i + 1] - expected).max() < 1e-13, i
+        assert np.all(out[1:][zero] == out[:-1][zero])
+
+    def test_long_chain_stays_unitary(self):
+        steps = np.random.default_rng(2).normal(0, 0.02, (4, 32895))
+        out = chain(*steps, np.eye(2))
+        defect = np.abs(np.einsum("nji,njk->nik", out.conj(), out) - np.eye(2)).max()
+        assert defect < 1e-12
 
     def test_zero_steps_copy_nodes(self):
         z = np.zeros(3)
-        out = np.empty((4, 2, 2), complex)
-        out[0] = np.array([[0, 1], [1, 0]], complex)
-        _kernels.su2_chain_numpy(z, z, z, z, out)
+        out = chain(z, z, z, z, X)
         assert np.abs(out - out[0]).max() == 0.0
 
     def test_exact_pi_rotation(self):
         # one step carrying (pi, 0) in the first factor = exp(-i pi X / 2)
-        out = np.empty((2, 2, 2), complex)
-        out[0] = np.eye(2)
-        _kernels.su2_chain_numpy(np.array([np.pi]), np.zeros(1), np.zeros(1),
-                                 np.zeros(1), out)
+        z = np.zeros(1)
+        out = chain(np.array([np.pi]), z, z, z, np.eye(2))
         expected = np.array([[0, -1j], [-1j, 0]])
         assert np.abs(out[1] - expected).max() < 1e-15
 
 
 class TestRk4Evolve:
-    def _workload(self, seed=0):
-        rng = np.random.default_rng(seed)
-        nq, nsteps = 3, 20
-        ax = rng.normal(0, 0.3, (nsteps, 3, nq))
-        ay = rng.normal(0, 0.3, (nsteps, 3, nq))
-        diag = rng.normal(0, 0.2, 1 << nq)
-        psi = rng.normal(size=(1 << nq, 2)) + 1j * rng.normal(size=(1 << nq, 2))
-        return ax, ay, diag, psi, np.full(nsteps, 1e-2)
-
-    def test_backends_agree(self):
-        ax, ay, diag, psi, h = self._workload()
-        a = np.ascontiguousarray(psi.copy())
-        b = psi.copy()
-        _kernels.rk4_evolve(a, ax, ay, diag, h, 2)
-        _kernels.rk4_evolve_numpy(b, ax, ay, diag, h, 2)
-        assert np.abs(a - b).max() < 1e-12
-
     def test_apply_matches_dense(self):
         rng = np.random.default_rng(3)
         nq = 3
@@ -67,31 +70,11 @@ class TestRk4Evolve:
         diag = rng.normal(size=dim)
         h = np.diag(diag).astype(complex)
         for q in range(nq):
-            x = np.array([[0, 1], [1, 0]], complex)
-            y = np.array([[0, -1j], [1j, 0]], complex)
-            op = ax[q] * x + ay[q] * y
+            op = ax[q] * X + ay[q] * Y
             full = np.eye(1, dtype=complex)
             for k in range(nq):
                 full = np.kron(full, op if k == q else np.eye(2, dtype=complex))
             h += full
         psi = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
-        got = _kernels.apply_h_numpy(psi, ax, ay, diag, nq)
+        got = _kernels.apply_h(psi, ax, ay, diag, nq)
         assert np.abs(got - (-1j) * (h @ psi)).max() < 1e-12
-
-
-class TestBackendSelection:
-    def test_default_backend_loads(self):
-        assert _kernels.backend_name() in ("numba", "numpy")
-
-    def test_env_flag_forces_numpy(self):
-        # The child imports the crdd under test (from src/ or site-packages)
-        # and inherits nothing else, so a CRDD_NUMBA in the caller's
-        # environment cannot leak in.
-        pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(crdd.__file__)))
-        code = ("import crdd._kernels as k; print(k.backend_name())")
-        out = subprocess.run([sys.executable, "-c", code],
-                             env={"PATH": "/usr/bin:/bin", "CRDD_NUMBA": "0",
-                                  "PYTHONPATH": pkg_root},
-                             capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "numpy"

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from crdd.sequences import (
     CatalogError, ColoredSchedule, NotBipartiteError, PulseShape, QubitGraph,
     SEQUENCE_CATALOG, Segment, Sequence, build_named, cr_dd, cr_variant,
-    envelope_amplitude, named_phases, pad, sim_dd, sim_variant, two_color,
+    _calibrate_drag, envelope_amplitude, named_phases, pad, sim_dd, sim_variant, two_color,
 )
 
 PI = math.pi
@@ -210,6 +210,12 @@ class TestEnvelopes:
         shape = PulseShape.gaussian_drag(sigma=0.25, drag_coefficient=0.5)
         _, wq = envelope_amplitude(shape, PI, 1.0, 0.5)
         assert abs(wq) < 1e-12
+
+    def test_drag_calibration_stays_on_gaussian_branch(self):
+        # the amplitude scale falls smoothly from 1 at beta = 0; a larger-amplitude
+        # root also makes an exact pi pulse but is not the calibrated drag pulse
+        scale, _ = _calibrate_drag(0.25, 0.5)
+        assert 0.5 < scale < 1.0
 
     def test_ideal_has_no_envelope(self):
         with pytest.raises(ValueError, match="no continuous envelope"):

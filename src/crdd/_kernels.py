@@ -14,10 +14,16 @@
     formed as unit quaternions by a work-efficient log-depth scan (Blelloch
     1990).
 
+``expm_action``
+    Exact action ``exp(-i t H) psi`` of a constant
+    ``H = sum_q ax[q] X_q + ay[q] Y_q + diag`` on a statevector or on the
+    columns of a propagator matrix: a pure phase when H is diagonal, else the
+    scaled truncated Taylor series of Al-Mohy & Higham (SIAM J. Sci. Comput.
+    33, 2011) built on ``apply_h``.
+
 ``rk4_evolve``
-    Fixed-step RK4 for ``dpsi/dt = -i H(t) psi`` with
-    ``H(t) = sum_q ax[q](t) X_q + ay[q](t) Y_q + diag`` applied matrix-free to
-    a statevector or to the columns of a propagator matrix.  Transverse
+    Fixed-step RK4 for ``dpsi/dt = -i H(t) psi`` with the same H, its
+    transverse coefficients varying in time, applied matrix-free.  Transverse
     coefficients are sampled per step at (start, midpoint, end) so segment
     boundaries stay one-sided.
 """
@@ -96,7 +102,7 @@ def su2_chain(cx, cy, dx, dy, out):
 
 
 # ---------------------------------------------------------------------------
-# Matrix-free RK4 statevector / propagator evolution
+# Matrix-free statevector / propagator evolution
 # ---------------------------------------------------------------------------
 
 def apply_h(psi, ax, ay, diag, nq):
@@ -115,6 +121,33 @@ def apply_h(psi, ax, ay, diag, nq):
         ot[:, 0] += (a - 1j * b) * ps[:, 1]
         ot[:, 1] += (a + 1j * b) * ps[:, 0]
     return -1j * out
+
+
+def expm_action(psi, ax, ay, diag, t, nq):
+    """exp(-i t H) psi for constant per-qubit rates; psi shape (dim, ncol).
+
+    The series runs in ``s = ceil(|H|_1 t)`` steps of length ``h = t / s``,
+    with the exact 1-norm ``max|diag| + sum_q |ax_q + i ay_q|``.  Because
+    ``|h H|_2 <= |h H|_1 <= 1``, the k-th Taylor term is at most 1/k of the one
+    before and the neglected tail is below the last term kept, so each step
+    stops once a term falls below 2**-53 of the running sum.
+    """
+    if not (np.any(ax) or np.any(ay)):
+        return np.exp(-1j * t * diag)[:, None] * psi
+    norm = float(np.abs(diag).max() + np.hypot(ax, ay).sum())
+    steps = max(1, math.ceil(norm * t))
+    h = t / steps
+    for _ in range(steps):
+        term = psi
+        k = 1
+        while True:
+            term = apply_h(term, ax, ay, diag, nq) * (h / k)
+            psi = psi + term
+            # written so that a NaN also ends the series
+            if not np.linalg.norm(term) > 2.0 ** -53 * np.linalg.norm(psi):
+                break
+            k += 1
+    return psi
 
 
 def rk4_evolve(psi, ax, ay, diag, h, reps):

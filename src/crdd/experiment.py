@@ -344,13 +344,8 @@ def _run_method_cells(plan, sub, spec, method_points, states, e_idx, m_idx):
     cells = [[] for _ in states]
     if spec.kind == "idle":
         for d_idx, (_, dur, pulses) in enumerate(method_points):
-            # split long idles into short chunks so the fixed step resolves
-            # the static error Hamiltonian (chunking a static evolution is
-            # exact)
-            chunks = max(1, math.ceil(dur / (64.0 * sub.tau_p)))
-            u1 = cycle_propagator(sub, idle_schedule(dur / chunks),
-                                  samples_per_pulse=plan.samples_per_pulse)
-            u = _binary_power(u1, [u1], chunks)
+            u = cycle_propagator(sub, idle_schedule(dur),
+                                 samples_per_pulse=plan.samples_per_pulse)
             _collect(plan, states, encs, u, dur, pulses, cells, e_idx, m_idx, d_idx)
         return cells
     builder = spec.build(sub.tau_p, plan.shape, coloring=sub.graph.coloring)

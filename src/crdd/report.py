@@ -125,9 +125,12 @@ def svg_box_plot(groups, title="", ylabel="", log_y=False):
     """Box-and-whisker plot: median, quartiles, whiskers to the furthest point
     within 1.5*IQR, fliers beyond.  ``groups`` is an ordered list of
     (label, values)."""
-    vals_all = [v for (_, vals) in groups for v in vals if math.isfinite(v)]
+    vals_all = [v for (_, vals) in groups for v in vals]
     if not vals_all:
-        raise ValueError("no finite data to plot")
+        raise ValueError("no data to plot")
+    # when every value is infinite (no decay was fitted) the frame and group
+    # labels are still drawn, on a default range
+    vals_all = [v for v in vals_all if math.isfinite(v)] or [1e-3]
     if log_y:
         positive = [v for v in vals_all if v > 0] or [1e-3]
         ylo, yhi = min(positive) / 1.5, max(positive) * 1.5

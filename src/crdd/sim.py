@@ -3,8 +3,11 @@ static 1-local fields, with shot-sampled survival probabilities.
 
 The Hamiltonian H(t) = H_C(t) + H_err is applied matrix-free: transverse drive
 and 1-local X/Y terms act qubit-wise, while the Z and ZZ sector enters through
-a precomputed diagonal.  Time stepping is fixed-step RK4 with drive
-coefficients sampled one-sidedly per step, so piecewise envelopes never leak
+a precomputed diagonal.  A cycle is cut at every segment edge.  Where every
+qubit sits in a delay or a square pulse, H is constant on the cut interval and
+its propagator is applied exactly (a phase when H is diagonal, else a scaled
+Taylor series).  Intervals inside shaped envelopes take fixed-step RK4 with
+drive coefficients sampled one-sidedly per step, so envelopes never leak
 across segment boundaries.  Ideal pulses are exact instantaneous rotations.
 
 Statevector dimension is capped at n = 14 qubits (dense representation).
@@ -259,12 +262,9 @@ def apply_hamiltonian(device, drives, psi):
 
 def dense_hamiltonian(device, drives):
     """Dense matrix of H for small systems (test oracle)."""
-    n = device.n
-    _check_capacity(n)
-    dim = 1 << n
-    eye = np.eye(dim, dtype=complex)
-    cols = [apply_hamiltonian(device, drives, eye[:, k]) for k in range(dim)]
-    return np.column_stack(cols)
+    _check_capacity(device.n)
+    # all columns in one block, so the diagonal is built once
+    return apply_hamiltonian(device, drives, np.eye(1 << device.n, dtype=complex))
 
 
 class HamiltonianOperator:
@@ -320,30 +320,29 @@ def _segment_table(seq):
     return spans, events
 
 
-class _CyclePlan:
-    """Compiled one-cycle drive tables: contiguous RK4 spans separated by
-    instantaneous rotations."""
-
-    def __init__(self, spans, duration, nsteps):
-        self.spans = spans  # ("rk4", h, ax, ay) or ("rot", [(q, phase, angle), ...])
-        self.duration = duration
-        self.nsteps = nsteps
-
-
 # RK4 step-angle cap: keeps |lambda_max| * h small enough that the per-step
 # norm defect sits at the double-precision floor even when every qubit drives
 # simultaneously.
 _STEP_ANGLE_CAP = 6e-3
 
 
-def _compile_cycle(device, schedules, samples_per_pulse):
+def _compile_cycle(device, schedules, samples_per_pulse, diag):
+    """One cycle as time-ordered spans:
+
+    * ``("rot", [(q, phase, angle), ...])``: instantaneous rotations;
+    * ``("exact", t, ax, ay)``: an interval on which every qubit sits in a
+      delay or a square pulse, so H is constant with rates ``ax, ay`` (n,);
+    * ``("rk4", h, ax, ay)``: an interval with a shaped envelope, in RK4 steps
+      ``h`` with rates (nsteps, 3, n) sampled at each step's start, midpoint
+      and end.
+    """
     n = device.n
     _check_capacity(n)
     if samples_per_pulse < 16:
         raise ValueError("samples_per_pulse must be >= 16")
     tables = [_segment_table(s) for s in schedules]
     duration = schedules[0].duration
-    diag_bound = float(np.abs(hamiltonian_diagonal(device)).max()) if n else 0.0
+    diag_bound = float(np.abs(diag).max())
 
     bounded = [sg.duration for s in schedules for sg in s.segments
                if sg.kind == "pulse" and sg.duration > 0]
@@ -373,37 +372,43 @@ def _compile_cycle(device, schedules, samples_per_pulse):
             key = min(range(len(merged)), key=lambda i: abs(merged[i] - t))
             event_map.setdefault(key, []).append((q, order, pulse))
 
-    def interval_tables(lo, hi, nst):
-        hs = (hi - lo) / nst
-        ax = np.zeros((nst, 3, n))
-        ay = np.zeros((nst, 3, n))
-        offs = lo + np.arange(nst) * hs
-        sample_times = np.stack([offs, offs + hs / 2, offs + hs], axis=1)
-        for q, (spans, _) in enumerate(tables):
-            seg = None
-            for (a, b_, s) in spans:
-                if a - tol <= lo and hi <= b_ + tol:
-                    seg = (a, s)
-                    break
+    def covering(lo, hi):
+        """(start, segment) of each qubit's segment spanning [lo, hi]."""
+        segs = []
+        for spans, _ in tables:
+            seg = next(((a, s) for (a, b_, s) in spans if a - tol <= lo and hi <= b_ + tol),
+                       None)
             if seg is None:
                 raise RuntimeError("interval not covered by a single segment")
-            a0, s = seg
+            segs.append(seg)
+        return segs
+
+    def drive(segs, times):
+        """Rates ``ax, ay`` of shape ``times.shape + (n,)``."""
+        ax = np.zeros(times.shape + (n,))
+        ay = np.zeros(times.shape + (n,))
+        for q, (a0, s) in enumerate(segs):
             if s.kind == "pulse":
                 p = s.pulse
-                local = np.clip(sample_times - a0, 0.0, s.duration)
+                local = np.clip(times - a0, 0.0, s.duration)
                 wi, wq = envelope_amplitude(p.shape, p.flip_angle, s.duration,
                                             local.ravel())
-                wi = wi.reshape(nst, 3)
-                wq = wq.reshape(nst, 3)
+                wi = wi.reshape(times.shape)
+                wq = wq.reshape(times.shape)
                 cph, sph = math.cos(p.phase), math.sin(p.phase)
-                ax[:, :, q] = 0.5 * (wi * cph - wq * sph)
-                ay[:, :, q] = 0.5 * (wi * sph + wq * cph)
-            ax[:, :, q] += device.b[q, 0]
-            ay[:, :, q] += device.b[q, 1]
+                ax[..., q] = 0.5 * (wi * cph - wq * sph)
+                ay[..., q] = 0.5 * (wi * sph + wq * cph)
+            ax[..., q] += device.b[q, 0]
+            ay[..., q] += device.b[q, 1]
+        return ax, ay
+
+    def rk4_tables(segs, lo, hi, nst):
+        hs = (hi - lo) / nst
+        offs = lo + np.arange(nst) * hs
+        ax, ay = drive(segs, np.stack([offs, offs + hs / 2, offs + hs], axis=1))
         return hs, ax, ay
 
     spans_out = []
-    total_steps = 0
     for i in range(len(merged)):
         if i in event_map:
             rots = [(q, p.phase, p.flip_angle)
@@ -412,43 +417,52 @@ def _compile_cycle(device, schedules, samples_per_pulse):
         if i == len(merged) - 1:
             break
         lo, hi = merged[i], merged[i + 1]
-        dur = hi - lo
-        nst = 2 * max(1, round(dur / (2 * h_target)))
-        hs, ax, ay = interval_tables(lo, hi, nst)
+        segs = covering(lo, hi)
+        if all(s.kind == "delay" or s.pulse.shape.kind == "square" for _, s in segs):
+            ax, ay = drive(segs, np.array(lo))
+            spans_out.append(("exact", hi - lo, ax, ay))
+            continue
+        nst = 2 * max(1, round((hi - lo) / (2 * h_target)))
+        hs, ax, ay = rk4_tables(segs, lo, hi, nst)
         # transverse amplitudes sum across qubits in the worst eigenvalue
         amp = float(np.hypot(ax, ay).sum(axis=2).max()) + diag_bound
         if amp * hs > _STEP_ANGLE_CAP:
             nst = 2 * math.ceil(nst * amp * hs / _STEP_ANGLE_CAP / 2)
-            hs, ax, ay = interval_tables(lo, hi, nst)
+            hs, ax, ay = rk4_tables(segs, lo, hi, nst)
         spans_out.append(("rk4", np.full(nst, hs), ax, ay))
-        total_steps += nst
-    return _CyclePlan(spans_out, duration, total_steps)
+    return spans_out
 
 
-def _run_cycle(plan, psi, diag):
-    for span in plan.spans:
+def _run_cycle(spans, psi, diag, nq):
+    for span in spans:
         if span[0] == "rot":
-            nq = int(math.log2(psi.shape[0]))
             for (q, phase, angle) in span[1]:
                 psi = _apply_single_qubit(psi, _equatorial_rotation(phase, angle), q, nq)
+            continue
+        kind, h, ax, ay = span
+        flat = np.ascontiguousarray(psi.reshape(psi.shape[0], -1))
+        if kind == "exact":
+            flat = _kernels.expm_action(flat, ax, ay, diag, h, nq)
         else:
-            _, h_arr, ax, ay = span
-            flat = psi.reshape(psi.shape[0], -1)
-            flat = np.ascontiguousarray(flat)
-            _kernels.rk4_evolve(flat, ax, ay, diag, h_arr, 1)
-            psi = flat.reshape(psi.shape)
+            _kernels.rk4_evolve(flat, ax, ay, diag, h, 1)
+        psi = flat.reshape(psi.shape)
     return psi
 
 
 def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
            norm_tol=1e-9):
     """Propagate a statevector (or propagator columns) through ``repetitions``
-    cycles of the per-qubit schedules.  Fixed-step RK4; raises
+    cycles of the per-qubit schedules.
+
+    Intervals where every qubit sits in a delay or a square pulse have a
+    constant Hamiltonian and are propagated exactly; intervals inside a shaped
+    (gaussian or DRAG) envelope take fixed RK4 steps, of which
+    ``samples_per_pulse`` per longest pulse set the coarsest.  Raises
     IntegrationError when column norms drift beyond ``norm_tol``."""
     device = device.colored() if device.graph.coloring is None else device
     schedules = _normalize_schedules(device, schedules)
-    plan = _compile_cycle(device, schedules, samples_per_pulse)
     diag = hamiltonian_diagonal(device)
+    spans = _compile_cycle(device, schedules, samples_per_pulse, diag)
     dim = 1 << device.n
     if psi0 is None:
         psi = np.zeros(dim, dtype=complex)
@@ -457,7 +471,7 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
         psi = np.asarray(psi0, dtype=complex).copy()
     norms_in = np.linalg.norm(psi.reshape(dim, -1), axis=0)
     for _ in range(repetitions):
-        psi = _run_cycle(plan, psi, diag)
+        psi = _run_cycle(spans, psi, diag, device.n)
     norms_out = np.linalg.norm(psi.reshape(dim, -1), axis=0)
     drift = np.abs(norms_out / norms_in - 1.0).max()
     if drift > norm_tol:
@@ -466,7 +480,8 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
 
 
 def cycle_propagator(device, schedules, samples_per_pulse=256, norm_tol=1e-9):
-    """One-cycle propagator matrix U(tau_c) (columns evolved together)."""
+    """One-cycle propagator matrix U(tau_c): the columns of the identity
+    evolved together by ``evolve``, exactly wherever H is piecewise constant."""
     dim = 1 << device.n
     eye = np.eye(dim, dtype=complex)
     return evolve(device, schedules, repetitions=1, psi0=eye,

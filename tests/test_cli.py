@@ -3,7 +3,7 @@ import json
 import pytest
 
 from crdd.cli import main
-from crdd.experiment import ExperimentPlan
+from crdd.experiment import ExperimentPlan, read_fits_csv
 from crdd.sim import DeviceModel
 
 
@@ -130,6 +130,23 @@ class TestSimFitSummarizeReport:
                    "--out", str(tmp_path / "summary.csv")) == 0
         assert run("report", "--results", str(results), "--fits", str(fits),
                    "--out-dir", str(tmp_path / "plots")) == 0
+
+    def test_report_with_no_finite_tau(self, tmp_path):
+        # neither CR method decays inside the sampled window, so every fitted
+        # tau_gamma is inf; the box plot is still drawn
+        plan = tiny_plan_json(tmp_path, methods=("CR-XY4", "CR-(XY4,UR12)"),
+                              target_pulses=48)
+        results, fits = tmp_path / "results.csv", tmp_path / "fits.csv"
+        assert run("sim", "run", "--plan", str(plan), "--seed", "1",
+                   "--out", str(results)) == 0
+        assert run("fit", "--in", str(results), "--out", str(fits)) == 0
+        assert all(f.tau_gamma == float("inf") for f in read_fits_csv(fits))
+        plots = tmp_path / "plots"
+        assert run("report", "--results", str(results), "--fits", str(fits),
+                   "--out-dir", str(plots)) == 0
+        assert (plots / "survival.svg").read_text().startswith("<svg")
+        box = (plots / "tau_gamma_box.svg").read_text()
+        assert ">CR-XY4</text>" in box and ">CR-(XY4,UR12)</text>" in box
 
     def test_sim_run_deterministic(self, tmp_path):
         plan = tiny_plan_json(tmp_path)

@@ -1,4 +1,6 @@
 import numpy as np
+import pytest
+from scipy.linalg import expm
 
 from crdd import _kernels
 
@@ -60,6 +62,19 @@ class TestSu2Chain:
         assert np.abs(out[1] - expected).max() < 1e-15
 
 
+def dense_h(ax, ay, diag):
+    """sum_q ax[q] X_q + ay[q] Y_q + diag as a dense matrix."""
+    nq = len(ax)
+    h = np.diag(diag).astype(complex)
+    for q in range(nq):
+        op = ax[q] * X + ay[q] * Y
+        full = np.eye(1, dtype=complex)
+        for k in range(nq):
+            full = np.kron(full, op if k == q else np.eye(2, dtype=complex))
+        h += full
+    return h
+
+
 class TestRk4Evolve:
     def test_apply_matches_dense(self):
         rng = np.random.default_rng(3)
@@ -68,13 +83,33 @@ class TestRk4Evolve:
         ax = rng.normal(size=nq)
         ay = rng.normal(size=nq)
         diag = rng.normal(size=dim)
-        h = np.diag(diag).astype(complex)
-        for q in range(nq):
-            op = ax[q] * X + ay[q] * Y
-            full = np.eye(1, dtype=complex)
-            for k in range(nq):
-                full = np.kron(full, op if k == q else np.eye(2, dtype=complex))
-            h += full
         psi = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
         got = _kernels.apply_h(psi, ax, ay, diag, nq)
-        assert np.abs(got - (-1j) * (h @ psi)).max() < 1e-12
+        assert np.abs(got - (-1j) * (dense_h(ax, ay, diag) @ psi)).max() < 1e-12
+
+
+class TestExpmAction:
+    @pytest.mark.parametrize("ncol", [1, 16])
+    @pytest.mark.parametrize("scale", [1e-3, 0.3, 5.0, 50.0])
+    def test_matches_dense_expm(self, ncol, scale):
+        rng = np.random.default_rng(int(scale * 1000) + ncol)
+        nq = 4
+        dim = 1 << nq
+        ax, ay = rng.normal(size=(2, nq))
+        ax[1] = ay[1] = 0.0  # an undriven qubit
+        diag = rng.normal(size=dim)
+        h = dense_h(ax, ay, diag)
+        t = scale / np.linalg.norm(h, 2)
+        psi = rng.normal(size=(dim, ncol)) + 1j * rng.normal(size=(dim, ncol))
+        psi /= np.linalg.norm(psi, axis=0)
+        got = _kernels.expm_action(psi.copy(), ax, ay, diag, t, nq)
+        assert np.abs(got - expm(-1j * t * h) @ psi).max() < 1e-12
+
+    def test_diagonal_is_exact_phase(self):
+        rng = np.random.default_rng(5)
+        nq = 3
+        diag = rng.normal(size=1 << nq)
+        psi = rng.normal(size=(1 << nq, 4)) + 1j * rng.normal(size=(1 << nq, 4))
+        zero = np.zeros(nq)
+        got = _kernels.expm_action(psi, zero, zero, diag, 37.5, nq)
+        assert np.array_equal(got, np.exp(-1j * 37.5 * diag)[:, None] * psi)

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from crdd.control import chi1, control_trace
 from crdd.sequences import PulseShape, QubitGraph, Segment, Sequence, cr_dd, sim_dd, two_color
 from crdd.sim import (
-    CapacityError, DeviceModel, apply_hamiltonian,
+    CapacityError, DeviceModel, apply_hamiltonian, cycle_propagator,
     decode_probabilities, dense_hamiltonian, encode_decode_survival, evolve,
     idle_schedule, prepare_states, product_state, sample_survival, shot_rng,
     StateSpec,
@@ -130,6 +130,33 @@ class TestEvolveOracles:
         psi = evolve(dev, [sched.red, sched.blue], repetitions=50,
                      psi0=product_state(("+x", "+y")))
         assert abs(np.linalg.norm(psi) - 1) < 1e-9
+
+
+class TestExactIntervals:
+    def test_long_idle_with_transverse_fields(self):
+        dev = DeviceModel.default(n=4)
+        j = dev.zz[0]
+        b = dev.b.copy()
+        b[:, :2] = np.random.default_rng(6).uniform(-0.1, 0.1, (4, 2)) * j
+        dev = DeviceModel(dev.graph, dev.zz, b, dev.tau_p)
+        t = 65536 * dev.tau_p
+        u = cycle_propagator(dev, idle_schedule(t))
+        expected = expm(-1j * dense_hamiltonian(dev, np.zeros((4, 2))) * t)
+        assert np.abs(u - expected).max() < 1e-10
+
+    def test_global_rng_untouched(self):
+        # on intervals with |H t|_1 this large, scipy's expm_multiply would
+        # estimate norms with draws from numpy's global generator; the
+        # propagators must neither draw from nor advance it
+        dev = two_qubit_device(0.3, b=[[1.0, -0.5, 0.2], [0.3, 0.8, -0.1]])
+        sched = cr_dd("XY4", tau_p=1.0, shape=SQUARE)
+        before = np.random.get_state()
+        cycle_propagator(dev, [sched.red, sched.blue])
+        cycle_propagator(dev, idle_schedule(100.0))
+        evolve(dev, idle_schedule(100.0), repetitions=2, psi0=product_state(("+x", "-y")))
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        assert np.array_equal(before[1], after[1])
 
 
 class TestSurvival:

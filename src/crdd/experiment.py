@@ -180,6 +180,12 @@ class ExperimentPlan:
         object.__setattr__(self, "embeddings",
                            tuple(tuple(int(v) for v in e) for e in self.embeddings))
         object.__setattr__(self, "methods", tuple(self.methods))
+        if self.shots < 1:
+            raise ValueError("shots must be >= 1")
+        if self.samples_per_pulse < 16:
+            raise ValueError("samples_per_pulse must be >= 16")
+        if self.target_pulses < 1:
+            raise ValueError("target_pulses must be >= 1")
         for m in self.methods:
             parse_method(m)
         for emb in self.embeddings:

@@ -10,11 +10,21 @@ Taylor series).  Intervals inside shaped envelopes take fixed-step RK4 with
 drive coefficients sampled one-sidedly per step, so envelopes never leak
 across segment boundaries.  Ideal pulses are exact instantaneous rotations.
 
+Shaped intervals that differ only in the drive phases of their pulses share
+one propagator: a pulse of phase phi on qubit q is the phase-0 pulse
+conjugated by exp(-i phi Z_q / 2), and that rotation commutes with the Z/ZZ
+diagonal (the virtual-Z identity, McKay et al., PRA 96, 022330 (2017)).  When
+no pulsing qubit has a static X/Y field, each distinct interval is propagated
+once at phase 0 on the identity and reused through a diagonal conjugation,
+wherever that is cheaper than integrating every occurrence.
+
 Statevector dimension is capped at n = 14 qubits (dense representation).
 """
 from __future__ import annotations
 
 import math
+import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,15 +234,16 @@ def _check_capacity(n):
         raise CapacityError(f"n={n} exceeds the dense-statevector budget ({MAX_QUBITS})")
 
 
+def _zsign(n):
+    """(n, 2^n) eigenvalue of each Z_q on each computational basis state."""
+    idx = np.arange(1 << n)
+    return 1.0 - 2.0 * ((idx >> (n - 1 - np.arange(n))[:, None]) & 1)
+
+
 def hamiltonian_diagonal(device):
     """Diagonal of the static Z/ZZ sector (rad/s)."""
-    n = device.n
-    _check_capacity(n)
-    dim = 1 << n
-    idx = np.arange(dim)
-    zsign = np.empty((n, dim))
-    for q in range(n):
-        zsign[q] = 1.0 - 2.0 * ((idx >> (n - 1 - q)) & 1)
+    _check_capacity(device.n)
+    zsign = _zsign(device.n)
     diag = device.b[:, 2] @ zsign
     for (u, v), j in zip(device.graph.edges, device.zz):
         diag += j * zsign[u] * zsign[v]
@@ -332,9 +343,19 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
     * ``("rot", [(q, phase, angle), ...])``: instantaneous rotations;
     * ``("exact", t, ax, ay)``: an interval on which every qubit sits in a
       delay or a square pulse, so H is constant with rates ``ax, ay`` (n,);
-    * ``("rk4", h, ax, ay)``: an interval with a shaped envelope, in RK4 steps
-      ``h`` with rates (nsteps, 3, n) sampled at each step's start, midpoint
-      and end.
+    * ``("rk4", h, ax, ay, key, phis)``: an interval with a shaped envelope,
+      in RK4 steps ``h`` with rates (nsteps, 3, n) sampled at each step's
+      start, midpoint and end.
+
+    A shaped interval whose pulsing qubits (those in a pulse segment) carry
+    no static X/Y field is keyed by its length and, per pulsing qubit,
+    ``(q, shape, flip_angle, segment duration, offset into the segment)``,
+    with lengths on the ``tol`` grid.  Its rates are those of the phase-0
+    pulses, one table set per key shared by every span of that key, and
+    ``phis`` (n,) holds the drive phase of each pulsing qubit (0 elsewhere):
+    the interval's propagator is the key's conjugated by
+    ``exp(-i/2 sum_q phis_q Z_q)``, which commutes with the Z/ZZ diagonal.
+    Otherwise ``key`` is None and the rates carry the real phases.
     """
     n = device.n
     _check_capacity(n)
@@ -343,6 +364,7 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
     tables = [_segment_table(s) for s in schedules]
     duration = schedules[0].duration
     diag_bound = float(np.abs(diag).max())
+    transverse = np.any(device.b[:, :2] != 0.0, axis=1)
 
     bounded = [sg.duration for s in schedules for sg in s.segments
                if sg.kind == "pulse" and sg.duration > 0]
@@ -383,8 +405,9 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
             segs.append(seg)
         return segs
 
-    def drive(segs, times):
-        """Rates ``ax, ay`` of shape ``times.shape + (n,)``."""
+    def drive(segs, times, phased=True):
+        """Rates ``ax, ay`` of shape ``times.shape + (n,)``; with ``phased``
+        False every pulse is driven at phase 0."""
         ax = np.zeros(times.shape + (n,))
         ay = np.zeros(times.shape + (n,))
         for q, (a0, s) in enumerate(segs):
@@ -395,19 +418,31 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
                                             local.ravel())
                 wi = wi.reshape(times.shape)
                 wq = wq.reshape(times.shape)
-                cph, sph = math.cos(p.phase), math.sin(p.phase)
+                phase = p.phase if phased else 0.0
+                cph, sph = math.cos(phase), math.sin(phase)
                 ax[..., q] = 0.5 * (wi * cph - wq * sph)
                 ay[..., q] = 0.5 * (wi * sph + wq * cph)
             ax[..., q] += device.b[q, 0]
             ay[..., q] += device.b[q, 1]
         return ax, ay
 
-    def rk4_tables(segs, lo, hi, nst):
-        hs = (hi - lo) / nst
-        offs = lo + np.arange(nst) * hs
-        ax, ay = drive(segs, np.stack([offs, offs + hs / 2, offs + hs], axis=1))
-        return hs, ax, ay
+    def rk4_tables(segs, lo, hi, phased):
+        def sample(nst):
+            hs = (hi - lo) / nst
+            offs = lo + np.arange(nst) * hs
+            return hs, *drive(segs, np.stack([offs, offs + hs / 2, offs + hs], axis=1),
+                              phased)
 
+        nst = 2 * max(1, round((hi - lo) / (2 * h_target)))
+        hs, ax, ay = sample(nst)
+        # transverse amplitudes sum across qubits in the worst eigenvalue
+        amp = float(np.hypot(ax, ay).sum(axis=2).max()) + diag_bound
+        if amp * hs > _STEP_ANGLE_CAP:
+            nst = 2 * math.ceil(nst * amp * hs / _STEP_ANGLE_CAP / 2)
+            hs, ax, ay = sample(nst)
+        return np.full(nst, hs), ax, ay
+
+    keyed = {}
     spans_out = []
     for i in range(len(merged)):
         if i in event_map:
@@ -422,31 +457,53 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
             ax, ay = drive(segs, np.array(lo))
             spans_out.append(("exact", hi - lo, ax, ay))
             continue
-        nst = 2 * max(1, round((hi - lo) / (2 * h_target)))
-        hs, ax, ay = rk4_tables(segs, lo, hi, nst)
-        # transverse amplitudes sum across qubits in the worst eigenvalue
-        amp = float(np.hypot(ax, ay).sum(axis=2).max()) + diag_bound
-        if amp * hs > _STEP_ANGLE_CAP:
-            nst = 2 * math.ceil(nst * amp * hs / _STEP_ANGLE_CAP / 2)
-            hs, ax, ay = rk4_tables(segs, lo, hi, nst)
-        spans_out.append(("rk4", np.full(nst, hs), ax, ay))
+        pulsing = [q for q, (_, s) in enumerate(segs) if s.kind == "pulse"]
+        phis = np.zeros(n)
+        if transverse[pulsing].any():
+            spans_out.append(("rk4", *rk4_tables(segs, lo, hi, True), None, phis))
+            continue
+        key = (round((hi - lo) / tol),) + tuple(
+            (q, segs[q][1].pulse.shape, segs[q][1].pulse.flip_angle,
+             round(segs[q][1].duration / tol), round((lo - segs[q][0]) / tol))
+            for q in pulsing)
+        for q in pulsing:
+            phis[q] = segs[q][1].pulse.phase
+        if key not in keyed:
+            keyed[key] = rk4_tables(segs, lo, hi, False)
+        spans_out.append(("rk4", *keyed[key], key, phis))
     return spans_out
 
 
-def _run_cycle(spans, psi, diag, nq):
+def _run_cycle(spans, psi, diag, zsign, shared):
+    """Apply one compiled cycle; ``shared`` maps a shaped-interval key to its
+    phase-0 propagator, applied by diagonal conjugation."""
+    nq = zsign.shape[0]
     for span in spans:
         if span[0] == "rot":
             for (q, phase, angle) in span[1]:
                 psi = _apply_single_qubit(psi, _equatorial_rotation(phase, angle), q, nq)
             continue
-        kind, h, ax, ay = span
         flat = np.ascontiguousarray(psi.reshape(psi.shape[0], -1))
-        if kind == "exact":
-            flat = _kernels.expm_action(flat, ax, ay, diag, h, nq)
+        if span[0] == "exact":
+            _, t, ax, ay = span
+            flat = _kernels.expm_action(flat, ax, ay, diag, t, nq)
         else:
-            _kernels.rk4_evolve(flat, ax, ay, diag, h, 1)
+            _, h, ax, ay, key, phis = span
+            if key in shared:
+                d = np.exp(-0.5j * (phis @ zsign))
+                flat = d[:, None] * (shared[key] @ (d.conj()[:, None] * flat))
+            else:
+                if phis.any():
+                    c, s = np.cos(phis), np.sin(phis)
+                    ax, ay = ax * c - ay * s, ax * s + ay * c
+                _kernels.rk4_evolve(flat, ax, ay, diag, h, 1)
         psi = flat.reshape(psi.shape)
     return psi
+
+
+# A shared propagator holds dim^2 amplitudes; a block of fewer columns than
+# dim shares only up to this dimension, so a large statevector never builds one.
+_SHARE_DIM_MAX = 1 << 8
 
 
 def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
@@ -457,8 +514,15 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
     Intervals where every qubit sits in a delay or a square pulse have a
     constant Hamiltonian and are propagated exactly; intervals inside a shaped
     (gaussian or DRAG) envelope take fixed RK4 steps, of which
-    ``samples_per_pulse`` per longest pulse set the coarsest.  Raises
-    IntegrationError when column norms drift beyond ``norm_tol``."""
+    ``samples_per_pulse`` per longest pulse set the coarsest.  Shaped
+    intervals that differ only in drive phase share a key (see
+    ``_compile_cycle``).  A key used ``uses`` times over all repetitions is
+    propagated once, on the identity, when that costs no more than
+    propagating each use directly (``dim <= ncol * uses``, ``ncol`` the
+    number of columns of ``psi0``); each use then applies it conjugated by
+    the diagonal ``exp(-i/2 sum_q phis_q Z_q)``.  Other shaped intervals
+    rotate the phase-0 rates into their phases and take RK4 directly.
+    Raises IntegrationError when column norms drift beyond ``norm_tol``."""
     device = device.colored() if device.graph.coloring is None else device
     schedules = _normalize_schedules(device, schedules)
     diag = hamiltonian_diagonal(device)
@@ -469,9 +533,20 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
         psi[0] = 1.0
     else:
         psi = np.asarray(psi0, dtype=complex).copy()
+    ncol = psi.size // dim
+    uses = Counter(span[4] for span in spans if span[0] == "rk4" and span[4] is not None)
+    shared = {}
+    if dim <= max(ncol, _SHARE_DIM_MAX):
+        for span in spans:
+            key = span[4] if span[0] == "rk4" else None
+            if key is not None and key not in shared and dim <= ncol * uses[key] * repetitions:
+                u0 = np.eye(dim, dtype=complex)
+                _kernels.rk4_evolve(u0, span[2], span[3], diag, span[1], 1)
+                shared[key] = u0
+    zsign = _zsign(device.n)
     norms_in = np.linalg.norm(psi.reshape(dim, -1), axis=0)
     for _ in range(repetitions):
-        psi = _run_cycle(spans, psi, diag, device.n)
+        psi = _run_cycle(spans, psi, diag, zsign, shared)
     norms_out = np.linalg.norm(psi.reshape(dim, -1), axis=0)
     drift = np.abs(norms_out / norms_in - 1.0).max()
     if drift > norm_tol:
@@ -481,7 +556,10 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
 
 def cycle_propagator(device, schedules, samples_per_pulse=256, norm_tol=1e-9):
     """One-cycle propagator matrix U(tau_c): the columns of the identity
-    evolved together by ``evolve``, exactly wherever H is piecewise constant."""
+    evolved together by ``evolve``, exactly wherever H is piecewise constant.
+    With ``dim`` columns every keyed shaped interval meets the sharing rule,
+    so each distinct one is integrated once per call and its phase variants
+    are diagonal conjugations of it."""
     dim = 1 << device.n
     eye = np.eye(dim, dtype=complex)
     return evolve(device, schedules, repetitions=1, psi0=eye,
@@ -540,7 +618,7 @@ def encode_decode_survival(state, device, schedules, repetitions, shots, seed,
     psi = evolve(device, schedules, repetitions=repetitions, psi0=enc,
                  samples_per_pulse=samples_per_pulse)
     probs = decode_probabilities(psi, state.poles)
-    rng = shot_rng(seed) if isinstance(seed, int) else shot_rng(*seed)
+    rng = shot_rng(seed) if isinstance(seed, numbers.Integral) else shot_rng(*seed)
     zeros = sample_survival(probs, shots, rng)
     duration = schedules[0].duration * repetitions
     pulses = schedules[0].pulse_count * repetitions

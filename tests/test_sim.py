@@ -159,6 +159,106 @@ class TestExactIntervals:
         assert np.array_equal(before[1], after[1])
 
 
+DRAG = PulseShape.gaussian_drag()
+
+
+def mid_pulse_schedules():
+    """q0 drives phases pi/2 then 0.3 back to back from t = 0, q1 drives 0
+    then 1.1 from t = 0.5 (tau_p = 1): each pulse edge of one qubit cuts a
+    pulse of the other halfway, so intervals of equal length and equal
+    pulsing qubits differ only in their offsets into the pulses."""
+    q0 = Sequence((Segment.for_pulse(PI / 2, 1.0, DRAG),
+                   Segment.for_pulse(0.3, 1.0, DRAG), Segment.delay(2.0)))
+    q1 = Sequence((Segment.delay(0.5), Segment.for_pulse(0.0, 1.0, DRAG),
+                   Segment.for_pulse(1.1, 1.0, DRAG), Segment.delay(1.5)))
+    return [q0, q1]
+
+
+def direct_columns(dev, seqs):
+    """Propagator built one column at a time; a single column uses each
+    shaped key too few times to share it, so every interval runs RK4."""
+    eye = np.eye(1 << dev.n, dtype=complex)
+    return np.column_stack([evolve(dev, seqs, psi0=e) for e in eye.T])
+
+
+def count_rk4_calls(monkeypatch):
+    from crdd import _kernels
+    calls = []
+    original = _kernels.rk4_evolve
+
+    def counting(psi, *args):
+        calls.append(psi.shape)
+        return original(psi, *args)
+
+    monkeypatch.setattr(_kernels, "rk4_evolve", counting)
+    return calls
+
+
+class TestSharedPhasePropagators:
+    @pytest.mark.parametrize("cr_bases", [None, ("XY4",), ("XY4", "UR12")],
+                             ids=["SIM-XY4-2", "CR-XY4", "CR-(XY4,UR12)"])
+    def test_drag_catalog_matches_direct(self, cr_bases):
+        # one random state per method: its evolution mixes every column of U,
+        # and a single-column evolve takes the direct path
+        dev = DeviceModel.default(n=4)
+        if cr_bases is None:
+            seqs = sim_dd("XY4", 2, dev.tau_p, DRAG)
+        else:
+            sched = cr_dd(*cr_bases, tau_p=dev.tau_p, shape=DRAG)
+            seqs = [sched.red if c == "R" else sched.blue for c in dev.graph.coloring]
+        u = cycle_propagator(dev, seqs)
+        rng = np.random.default_rng(8)
+        psi0 = rng.normal(size=16) + 1j * rng.normal(size=16)
+        psi0 /= np.linalg.norm(psi0)
+        assert np.abs(u @ psi0 - evolve(dev, seqs, psi0=psi0)).max() < 1e-12
+
+    def test_mid_pulse_cut(self, monkeypatch):
+        dev = two_qubit_device(0.02, b=[[0.0, 0.0, 0.01], [0.0, 0.0, -0.03]])
+        seqs = mid_pulse_schedules()
+        calls = count_rk4_calls(monkeypatch)
+        u = cycle_propagator(dev, seqs)
+        # four keys: q0 alone, q0 second half with q1 first half (twice, at
+        # phases pi/2, 0 and 0.3, 1.1), q0 first half with q1 second half,
+        # q1 alone
+        assert calls == [(4, 4)] * 4
+        assert np.abs(u - direct_columns(dev, seqs)).max() < 1e-12
+
+    def test_transverse_field_falls_back(self, monkeypatch):
+        dev = two_qubit_device(0.02, b=[[0.05, -0.02, 0.01], [0.0, 0.0, -0.03]])
+        seqs = mid_pulse_schedules()
+        calls = count_rk4_calls(monkeypatch)
+        u = cycle_propagator(dev, seqs)
+        # the four intervals where q0 pulses take RK4 at their real phases;
+        # the one where only q1 pulses keeps its key
+        assert calls == [(4, 4)] * 5
+        assert np.abs(u - direct_columns(dev, seqs)).max() < 1e-12
+
+    def test_repetitions_share_across_cycles(self, monkeypatch):
+        # one column over three cycles: the key used twice per cycle reaches
+        # 6 uses against a dimension of 4 and is shared; the three keys used
+        # once per cycle run RK4 directly in every cycle
+        dev = two_qubit_device(0.02, b=[[0.0, 0.0, 0.01], [0.0, 0.0, -0.03]])
+        seqs = mid_pulse_schedules()
+        u = cycle_propagator(dev, seqs)
+        psi0 = product_state(("+y", "-x"))
+        calls = count_rk4_calls(monkeypatch)
+        psi = evolve(dev, seqs, repetitions=3, psi0=psi0)
+        assert calls == [(4, 4)] + [(4, 1)] * 9
+        assert np.abs(psi - np.linalg.matrix_power(u, 3) @ psi0).max() < 1e-12
+
+    def test_large_statevector_keeps_direct_path(self, monkeypatch):
+        import crdd.sim as sim
+        dev = two_qubit_device(0.02, b=[[0.0, 0.0, 0.01], [0.0, 0.0, -0.03]])
+        seqs = mid_pulse_schedules()
+        psi0 = product_state(("+y", "-x"))
+        shared = evolve(dev, seqs, repetitions=2, psi0=psi0)
+        monkeypatch.setattr(sim, "_SHARE_DIM_MAX", 2)
+        calls = count_rk4_calls(monkeypatch)
+        direct = evolve(dev, seqs, repetitions=2, psi0=psi0)
+        assert set(calls) == {(4, 1)}
+        assert np.abs(shared - direct).max() < 1e-12
+
+
 class TestSurvival:
     def test_zero_noise_unit_survival(self):
         dev = two_qubit_device(0.0)
@@ -200,6 +300,13 @@ class TestSurvival:
             if 0.45 <= pt.p0_estimate <= 0.55:
                 hits += 1
         assert hits >= 93
+
+    def test_numpy_integer_seed(self):
+        dev = DeviceModel.default(n=2)
+        state = StateSpec("type1", ("+x", "+x"), "type1_+x")
+        pts = [encode_decode_survival(state, dev, idle_schedule(1e-6), 2, 10, seed)
+               for seed in (np.int64(3), 3)]
+        assert pts[0] == pts[1]
 
     def test_seeded_determinism(self):
         dev = two_qubit_device(0.01)

@@ -2,8 +2,8 @@
 
 Runs ``perfbench/run.py`` on every workload in ``BENCHMARK.json``, once with
 ``--trace 0`` (end-to-end metrics) and once with ``--trace 1`` (per-layer
-metrics), then the Tier-1 test suite, and writes the result at the repository
-root.  From the repository root:
+metrics) for the ``run_seconds`` it sets, then the Tier-1 test suite, and
+writes the result at the repository root.  From the repository root:
 
     python3 benchmarks/bench.py --pr 6 --seed 31
 """
@@ -32,8 +32,7 @@ def perfbench(workload, seed, seconds, trace):
 
 
 def tier1():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in ("src", os.environ.get("PYTHONPATH")) if p))
+    env = dict(os.environ, PYTHONPATH="src")
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            "--continue-on-collection-errors"],
@@ -49,11 +48,10 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float)
     args = parser.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = {}
     for wl in spec["workloads"]:
         prov, end_to_end, ok0, failed0 = perfbench(wl["name"], args.seed, seconds, 0)

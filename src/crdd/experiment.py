@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -180,12 +181,10 @@ class ExperimentPlan:
         object.__setattr__(self, "embeddings",
                            tuple(tuple(int(v) for v in e) for e in self.embeddings))
         object.__setattr__(self, "methods", tuple(self.methods))
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if self.samples_per_pulse < 16:
-            raise ValueError("samples_per_pulse must be >= 16")
-        if self.target_pulses < 1:
-            raise ValueError("target_pulses must be >= 1")
+        for name, low in (("shots", 1), ("samples_per_pulse", 16), ("target_pulses", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not value >= low:
+                raise ValueError(f"{name} must be a number >= {low}, got {value!r}")
         for m in self.methods:
             parse_method(m)
         for emb in self.embeddings:

@@ -160,16 +160,17 @@ class TestSimFitSummarizeReport:
         assert run("sim", "run", "--plan", str(plan),
                    "--out", str(tmp_path / "r.csv")) == 2
 
-    @pytest.mark.parametrize("field", ["shots", "samples_per_pulse", "target_pulses"])
-    def test_plan_that_cannot_run_exits_2(self, tmp_path, capsys, field):
+    @pytest.mark.parametrize("field,value", [
+        ("shots", 0), ("samples_per_pulse", 8), ("target_pulses", 0), ("shots", "40")])
+    def test_plan_that_cannot_run_exits_2(self, tmp_path, capsys, field, value):
         plan = tiny_plan_json(tmp_path)
         doc = json.loads(plan.read_text())
-        doc[field] = 8 if field == "samples_per_pulse" else 0
+        doc[field] = value
         plan.write_text(json.dumps(doc))
         results = tmp_path / "r.csv"
         assert run("sim", "run", "--plan", str(plan), "--seed", "1",
                    "--out", str(results)) == 2
-        assert f"{field} must be >=" in capsys.readouterr().err
+        assert f"{field} must be a number >=" in capsys.readouterr().err
         assert not results.exists()
 
     def test_fit_constant_data_degenerate(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ Runs ``perfbench/run.py`` on every workload in ``BENCHMARK.json``, once with
 metrics) for the ``run_seconds`` it sets, then the Tier-1 test suite, and
 writes the result at the repository root.  From the repository root:
 
-    python3 benchmarks/bench.py --pr 6 --seed 31
+    python3 benchmarks/bench.py --pr N --seed S
 """
 import argparse
 import json

@@ -183,8 +183,9 @@ class ExperimentPlan:
         object.__setattr__(self, "methods", tuple(self.methods))
         for name, low in (("shots", 1), ("samples_per_pulse", 16), ("target_pulses", 1)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not value >= low:
-                raise ValueError(f"{name} must be a number >= {low}, got {value!r}")
+            if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+                    or value < low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for m in self.methods:
             parse_method(m)
         for emb in self.embeddings:

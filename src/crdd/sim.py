@@ -501,11 +501,6 @@ def _run_cycle(spans, psi, diag, zsign, shared):
     return psi
 
 
-# A shared propagator holds dim^2 amplitudes; a block of fewer columns than
-# dim shares only up to this dimension, so a large statevector never builds one.
-_SHARE_DIM_MAX = 1 << 8
-
-
 def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
            norm_tol=1e-9):
     """Propagate a statevector (or propagator columns) through ``repetitions``
@@ -522,6 +517,9 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
     number of columns of ``psi0``); each use then applies it conjugated by
     the diagonal ``exp(-i/2 sum_q phis_q Z_q)``.  Other shaped intervals
     rotate the phase-0 rates into their phases and take RK4 directly.
+    Each shared key holds one dim x dim array for the whole call, so peak
+    memory grows by that many dim^2 amplitudes; a statevector builds one only
+    for a key it would otherwise propagate at least ``dim`` times.
     Raises IntegrationError when column norms drift beyond ``norm_tol``."""
     device = device.colored() if device.graph.coloring is None else device
     schedules = _normalize_schedules(device, schedules)
@@ -536,13 +534,12 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
     ncol = psi.size // dim
     uses = Counter(span[4] for span in spans if span[0] == "rk4" and span[4] is not None)
     shared = {}
-    if dim <= max(ncol, _SHARE_DIM_MAX):
-        for span in spans:
-            key = span[4] if span[0] == "rk4" else None
-            if key is not None and key not in shared and dim <= ncol * uses[key] * repetitions:
-                u0 = np.eye(dim, dtype=complex)
-                _kernels.rk4_evolve(u0, span[2], span[3], diag, span[1], 1)
-                shared[key] = u0
+    for span in spans:
+        key = span[4] if span[0] == "rk4" else None
+        if key is not None and key not in shared and dim <= ncol * uses[key] * repetitions:
+            u0 = np.eye(dim, dtype=complex)
+            _kernels.rk4_evolve(u0, span[2], span[3], diag, span[1], 1)
+            shared[key] = u0
     zsign = _zsign(device.n)
     norms_in = np.linalg.norm(psi.reshape(dim, -1), axis=0)
     for _ in range(repetitions):

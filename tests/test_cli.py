@@ -161,7 +161,9 @@ class TestSimFitSummarizeReport:
                    "--out", str(tmp_path / "r.csv")) == 2
 
     @pytest.mark.parametrize("field,value", [
-        ("shots", 0), ("samples_per_pulse", 8), ("target_pulses", 0), ("shots", "40")])
+        ("shots", 0), ("samples_per_pulse", 8), ("target_pulses", 0), ("shots", "40"),
+        ("shots", 40.5), ("shots", 40.0), ("shots", True), ("shots", float("inf")), ("target_pulses", 48.5),
+        ("samples_per_pulse", 256.0)])
     def test_plan_that_cannot_run_exits_2(self, tmp_path, capsys, field, value):
         plan = tiny_plan_json(tmp_path)
         doc = json.loads(plan.read_text())
@@ -170,7 +172,7 @@ class TestSimFitSummarizeReport:
         results = tmp_path / "r.csv"
         assert run("sim", "run", "--plan", str(plan), "--seed", "1",
                    "--out", str(results)) == 2
-        assert f"{field} must be a number >=" in capsys.readouterr().err
+        assert f"{field} must be an integer >=" in capsys.readouterr().err
         assert not results.exists()
 
     def test_fit_constant_data_degenerate(self, tmp_path, capsys):

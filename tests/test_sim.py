@@ -195,22 +195,21 @@ def count_rk4_calls(monkeypatch):
 
 
 class TestSharedPhasePropagators:
-    @pytest.mark.parametrize("cr_bases", [None, ("XY4",), ("XY4", "UR12")],
-                             ids=["SIM-XY4-2", "CR-XY4", "CR-(XY4,UR12)"])
-    def test_drag_catalog_matches_direct(self, cr_bases):
-        # one random state per method: its evolution mixes every column of U,
-        # and a single-column evolve takes the direct path
+    def test_drag_catalog_matches_direct(self, monkeypatch):
+        # CR-(XY4,UR12) keys both colours' pulses, each used 12 times per
+        # cycle.  One random state weighs every column of U; a single column
+        # is below the sharing rule, so its evolve is the direct path.
         dev = DeviceModel.default(n=4)
-        if cr_bases is None:
-            seqs = sim_dd("XY4", 2, dev.tau_p, DRAG)
-        else:
-            sched = cr_dd(*cr_bases, tau_p=dev.tau_p, shape=DRAG)
-            seqs = [sched.red if c == "R" else sched.blue for c in dev.graph.coloring]
+        sched = cr_dd("XY4", "UR12", tau_p=dev.tau_p, shape=DRAG)
+        seqs = [sched.red if c == "R" else sched.blue for c in dev.graph.coloring]
         u = cycle_propagator(dev, seqs)
         rng = np.random.default_rng(8)
         psi0 = rng.normal(size=16) + 1j * rng.normal(size=16)
         psi0 /= np.linalg.norm(psi0)
-        assert np.abs(u @ psi0 - evolve(dev, seqs, psi0=psi0)).max() < 1e-12
+        calls = count_rk4_calls(monkeypatch)
+        psi = evolve(dev, seqs, psi0=psi0)
+        assert calls == [(16, 1)] * 24
+        assert np.abs(u @ psi0 - psi).max() < 1e-12
 
     def test_mid_pulse_cut(self, monkeypatch):
         dev = two_qubit_device(0.02, b=[[0.0, 0.0, 0.01], [0.0, 0.0, -0.03]])
@@ -245,18 +244,6 @@ class TestSharedPhasePropagators:
         psi = evolve(dev, seqs, repetitions=3, psi0=psi0)
         assert calls == [(4, 4)] + [(4, 1)] * 9
         assert np.abs(psi - np.linalg.matrix_power(u, 3) @ psi0).max() < 1e-12
-
-    def test_large_statevector_keeps_direct_path(self, monkeypatch):
-        import crdd.sim as sim
-        dev = two_qubit_device(0.02, b=[[0.0, 0.0, 0.01], [0.0, 0.0, -0.03]])
-        seqs = mid_pulse_schedules()
-        psi0 = product_state(("+y", "-x"))
-        shared = evolve(dev, seqs, repetitions=2, psi0=psi0)
-        monkeypatch.setattr(sim, "_SHARE_DIM_MAX", 2)
-        calls = count_rk4_calls(monkeypatch)
-        direct = evolve(dev, seqs, repetitions=2, psi0=psi0)
-        assert set(calls) == {(4, 1)}
-        assert np.abs(shared - direct).max() < 1e-12
 
 
 class TestSurvival:

@@ -8,8 +8,20 @@ and the quadrature floor sits well below the suppression tolerances.  Ideal
 pulses are applied as exact instantaneous rotations at segment boundaries.
 
 The control matrix follows R[mu, alpha](t) = Tr[U(t)^dag s_mu U(t) s_alpha]/2,
-an SO(3) rotation with R(0) = I.  Error matrices are time integrals on the
-propagation grid (composite Simpson per smooth piece).
+an SO(3) rotation with R(0) = I.  Every node starts from the identity, so it
+has the quaternion form U = w I - i(x X + y Y + z Z), and R is read off in
+closed form (Shoemake, SIGGRAPH 1985), the transpose of the textbook
+rotation matrix:
+
+    [[ww+xx-yy-zz, 2(xy-wz),    2(xz+wy)   ],
+     [2(xy+wz),    ww-xx+yy-zz, 2(yz-wx)   ],
+     [2(xz-wy),    2(yz+wx),    ww-xx-yy+zz]]
+
+This homogeneous form equals the trace formula for any U of that form, unit
+or not, so R R^T = |q|^4 I and no check on R could separate a bad node from
+rounding.  The guard is the unitarity check in ``propagate``: U^dag U = |q|^2 I,
+so its defect is | |U00|^2 + |U10|^2 - 1 |.  Error matrices are time integrals
+on the propagation grid (composite Simpson per smooth piece).
 """
 from __future__ import annotations
 
@@ -31,15 +43,9 @@ __all__ = [
 
 AXES = "XYZ"
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
 
 class IntegrationError(RuntimeError):
-    """Propagation lost unitarity or realness beyond tolerance."""
+    """Propagation lost unitarity beyond tolerance."""
 
 
 class GridMismatchError(ValueError):
@@ -148,30 +154,19 @@ def _plan_sequence(sequence, samples_per_pulse, extra_breakpoints=(),
     h = ref / samples_per_pulse
     splits = _split_points(sequence.segments, extra_breakpoints, total)
 
-    dt, cx, cy, dx, dy = [], [], [], [], []
+    runs = []  # (dt, cx, cy, dx, dy) arrays, one tuple per run of steps
     pieces, events = [], []
     node = 0
     sep_needed = False  # insert a duplicate-node marker before the next piece
     g1, g2 = _kernels._GAUSS_NODES
-
-    def marker():
-        nonlocal node
-        dt.append(0.0)
-        cx.append(0.0)
-        cy.append(0.0)
-        dx.append(0.0)
-        dy.append(0.0)
-        node += 1
+    zero = np.zeros(1)
 
     for seg, seg_splits in zip(sequence.segments, splits):
         if seg.kind == "pulse" and seg.duration == 0.0:
             # instantaneous rotation: one zero-duration step, no piece
             p = seg.pulse
-            dt.append(0.0)
-            cx.append(p.flip_angle * math.cos(p.phase))
-            cy.append(p.flip_angle * math.sin(p.phase))
-            dx.append(0.0)
-            dy.append(0.0)
+            runs.append((zero, np.array([p.flip_angle * math.cos(p.phase)]),
+                         np.array([p.flip_angle * math.sin(p.phase)]), zero, zero))
             node += 1
             events.append((node, p.phase, p.flip_angle))
             sep_needed = False
@@ -183,33 +178,27 @@ def _plan_sequence(sequence, samples_per_pulse, extra_breakpoints=(),
             if dur <= 0:
                 continue
             if sep_needed:
-                marker()
+                runs.append((zero,) * 5)
+                node += 1
             n = 2 * max(1, round(dur / (2 * h)))
             hs = dur / n
-            i0 = node
             if seg.kind == "delay":
-                dt.extend([hs] * n)
-                cx.extend([0.0] * n)
-                cy.extend([0.0] * n)
-                dx.extend([0.0] * n)
-                dy.extend([0.0] * n)
+                still = np.zeros(n)
+                runs.append((np.full(n, hs), still, still, still, still))
             else:
                 p = seg.pulse
                 t0 = lo + np.arange(n) * hs
                 axis = complex(math.cos(p.phase), math.sin(p.phase))
                 w1i, w1q = envelope_amplitude(p.shape, p.flip_angle, seg.duration, t0 + g1 * hs)
                 w2i, w2q = envelope_amplitude(p.shape, p.flip_angle, seg.duration, t0 + g2 * hs)
-                steps = _kernels.cf4_steps((w1i + 1j * w1q) * axis,
-                                           (w2i + 1j * w2q) * axis, hs)
-                dt.extend([hs] * n)
-                for acc, col in zip((cx, cy, dx, dy), steps):
-                    acc.extend(col)
+                runs.append((np.full(n, hs), *_kernels.cf4_steps(
+                    (w1i + 1j * w1q) * axis, (w2i + 1j * w2q) * axis, hs)))
+            pieces.append((node, node + n))
             node += n
-            pieces.append((i0, node))
             sep_needed = True
 
-    return _StepPlan(np.array(dt), np.array(cx), np.array(cy), np.array(dx),
-                     np.array(dy), pieces, events, total, samples_per_pulse)
+    dt, cx, cy, dx, dy = (np.concatenate(col) for col in zip(*runs))
+    return _StepPlan(dt, cx, cy, dx, dy, pieces, events, total, samples_per_pulse)
 
 
 # ---------------------------------------------------------------------------
@@ -232,26 +221,24 @@ def propagate(sequence, samples_per_pulse=256, extra_breakpoints=(), unitarity_t
     out = np.empty((n + 1, 2, 2), dtype=np.complex128)
     out[0] = np.eye(2)
     _kernels.su2_chain(plan.cx, plan.cy, plan.dx, plan.dy, out)
-    defect = np.abs(np.einsum("nji,njk->nik", out.conj(), out) - np.eye(2)).max()
-    if defect > unitarity_tol:
+    # U^dag U = |q|^2 I for every node, read off the first column
+    col = out[:, :, 0]
+    defect = np.abs((col.real ** 2 + col.imag ** 2).sum(axis=1) - 1.0).max()
+    if not defect <= unitarity_tol:  # written so that a NaN node also fails
         raise IntegrationError(f"unitarity defect {defect:.3e} exceeds {unitarity_tol:.1e}")
     return plan.grid(), out
 
 
 def _adjoint_from_unitaries(U):
-    N = U.shape[0]
-    R = np.empty((N, 3, 3))
-    Ud = U.conj().transpose(0, 2, 1)
-    for m in range(3):
-        rotated = Ud @ _PAULI[m] @ U
-        for a in range(3):
-            v = np.einsum("nij,ji->n", rotated, _PAULI[a]) / 2
-            if np.abs(v.imag).max() > 1e-12:
-                raise IntegrationError(
-                    f"control-matrix entry ({AXES[m]},{AXES[a]}) has imaginary part "
-                    f"{np.abs(v.imag).max():.3e} > 1e-12")
-            R[:, m, a] = v.real
-    return R
+    """R[mu, alpha] = Tr[U^dag s_mu U s_alpha]/2 for U = w I - i(x X + y Y + z Z)."""
+    w, z = U[:, 0, 0].real, -U[:, 0, 0].imag
+    y, x = U[:, 1, 0].real, -U[:, 1, 0].imag
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    xy, xz, yz, wx, wy, wz = x * y, x * z, y * z, w * x, w * y, w * z
+    return np.stack((ww + xx - yy - zz, 2 * (xy - wz), 2 * (xz + wy),
+                     2 * (xy + wz), ww - xx + yy - zz, 2 * (yz - wx),
+                     2 * (xz - wy), 2 * (yz + wx), ww - xx - yy + zz),
+                    axis=-1).reshape(-1, 3, 3)
 
 
 @dataclass(frozen=True)
@@ -272,12 +259,11 @@ class ControlTrace:
         """Deduplicated (t, R) on a uniform grid; requires a continuous trace."""
         t = self.grid.times
         R = self.R
-        keep = np.ones(len(t), dtype=bool)
         dup = np.flatnonzero(np.diff(t) == 0.0)
-        for i in dup:
-            if np.abs(R[i + 1] - R[i]).max() > 1e-9:
-                raise ValueError("trace is discontinuous; no uniform view exists")
-            keep[i + 1] = False
+        if dup.size and np.abs(R[dup + 1] - R[dup]).max() > 1e-9:
+            raise ValueError("trace is discontinuous; no uniform view exists")
+        keep = np.ones(len(t), dtype=bool)
+        keep[dup + 1] = False
         tu = t[keep]
         Ru = R[keep]
         hs = np.diff(tu)

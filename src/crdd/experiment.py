@@ -20,7 +20,7 @@ import numpy as np
 
 from .fitting import fit_decay
 from .sequences import PulseShape, canonical_name, cr_dd, named_phases, sim_dd
-from .sim import (DeviceModel, SurvivalPoint, SurvivalRecord, decode_probabilities,
+from .sim import (POLES, DeviceModel, SurvivalPoint, SurvivalRecord, decode_probabilities,
                   idle_schedule, cycle_propagator, prepare_states, product_state,
                   sample_survival, shot_rng)
 
@@ -181,11 +181,14 @@ class ExperimentPlan:
         object.__setattr__(self, "embeddings",
                            tuple(tuple(int(v) for v in e) for e in self.embeddings))
         object.__setattr__(self, "methods", tuple(self.methods))
-        for name, low in (("shots", 1), ("samples_per_pulse", 16), ("target_pulses", 1)):
+        for name, low, high in (("shots", 1, None), ("samples_per_pulse", 16, None),
+                                ("target_pulses", 1, None), ("max_points", 1, None),
+                                ("count_type1", 0, len(POLES)), ("count_type2", 0, None)):
             value = getattr(self, name)
             if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-                    or value < low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+                    or value < low or (high is not None and value > high)):
+                bound = f">= {low}" + (f" and <= {high}" if high is not None else "")
+                raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
         for m in self.methods:
             parse_method(m)
         for emb in self.embeddings:

@@ -117,6 +117,9 @@ class PulseSpec:
     flip_angle: float = math.pi
 
     def __post_init__(self):
+        for name in ("phase", "duration", "flip_angle"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"pulse {name} must be finite, got {getattr(self, name)!r}")
         if self.shape.is_ideal:
             if self.duration != 0.0:
                 raise ValueError("ideal pulses are instantaneous (duration must be 0)")

@@ -96,6 +96,16 @@ class TestAnalyzeVerbs:
         assert "PASS" in capsys.readouterr().out
         assert out.exists()
 
+    def test_verify_rejects_non_finite_phase(self, tmp_path, seq_json, capsys):
+        doc = json.loads(seq_json.read_text())
+        next(s for s in doc["slots"] if s["kind"] == "pulse")["phase_rad"] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        assert run("verify", "--sequence", str(bad)) == 2
+        captured = capsys.readouterr()
+        assert "phase must be finite" in captured.err
+        assert "FAIL" not in captured.out
+
     def test_verify_fail_on_sim(self, tmp_path, seq_json, capsys):
         # catalog sequence applied simultaneously has unsuppressed ZZ entries
         assert run("verify", "--sequence", str(seq_json), "--samples", "64") == 0
@@ -163,16 +173,22 @@ class TestSimFitSummarizeReport:
     @pytest.mark.parametrize("field,value", [
         ("shots", 0), ("samples_per_pulse", 8), ("target_pulses", 0), ("shots", "40"),
         ("shots", 40.5), ("shots", 40.0), ("shots", True), ("shots", float("inf")), ("target_pulses", 48.5),
-        ("samples_per_pulse", 256.0)])
+        ("samples_per_pulse", 256.0), ("max_points", 0), ("states.type1", -1),
+        ("states.type1", 7), ("states.type2", -1)])
     def test_plan_that_cannot_run_exits_2(self, tmp_path, capsys, field, value):
         plan = tiny_plan_json(tmp_path)
         doc = json.loads(plan.read_text())
-        doc[field] = value
+        *parents, key = field.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
         plan.write_text(json.dumps(doc))
         results = tmp_path / "r.csv"
         assert run("sim", "run", "--plan", str(plan), "--seed", "1",
                    "--out", str(results)) == 2
-        assert f"{field} must be an integer >=" in capsys.readouterr().err
+        name = {"states.type1": "count_type1", "states.type2": "count_type2"}.get(field, field)
+        assert f"{name} must be an integer >=" in capsys.readouterr().err
         assert not results.exists()
 
     def test_fit_constant_data_degenerate(self, tmp_path, capsys):

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from crdd import _kernels
 from crdd.control import (
-    GridMismatchError, bang_bang_trace, chi1, chi2, classify_symmetry,
-    control_trace, paired_traces, propagate, verify_first_order,
+    ControlTrace, GridMismatchError, IntegrationError, TimeGrid, _adjoint_from_unitaries,
+    bang_bang_trace, chi1, chi2, classify_symmetry, control_trace, paired_traces,
+    propagate, verify_first_order,
 )
 from crdd.sequences import (
     PulseShape, PulseSpec, Segment, Sequence, cr_dd, named_phases, sim_dd,
@@ -17,6 +19,7 @@ DRAG = PulseShape.gaussian_drag()
 IDEAL = PulseShape.ideal()
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI = (X, np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]], dtype=complex))
 
 
 def ideal_xy4(tau_d, symmetric=False):
@@ -63,6 +66,17 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(Sequence((Segment.delay(1.0),)), 8)
 
+    def test_nan_node_raises(self, monkeypatch):
+        chain = _kernels.su2_chain
+
+        def nan_chain(cx, cy, dx, dy, out):
+            chain(cx, cy, dx, dy, out)
+            out[len(out) // 2] = np.nan
+
+        monkeypatch.setattr(_kernels, "su2_chain", nan_chain)
+        with pytest.raises(IntegrationError, match="nan"):
+            propagate(Sequence((Segment.for_pulse(0.0, 1.0, SQUARE),)), 32)
+
     def test_ideal_pulse_with_non_pi_flip_angle(self):
         seq = Sequence((Segment.delay(1.0),
                         Segment("pulse", 0.0,
@@ -75,6 +89,31 @@ class TestPropagate:
 
 
 class TestControlTrace:
+    @pytest.mark.parametrize("scale", [1.0, 1 - 1e-9, 1 + 1e-9])
+    def test_closed_form_matches_trace_formula(self, scale):
+        q = np.random.default_rng(7).normal(size=(1000, 4))
+        q *= scale / np.linalg.norm(q, axis=1, keepdims=True)
+        w, x, y, z = q.T
+        u = (w[:, None, None] * np.eye(2)
+             - 1j * np.einsum("na,aij->nij", np.stack((x, y, z), axis=1), PAULI))
+        ud = u.conj().transpose(0, 2, 1)
+        oracle = np.empty((len(u), 3, 3))
+        for m in range(3):
+            for a in range(3):
+                oracle[:, m, a] = np.einsum("nij,ji->n", ud @ PAULI[m] @ u, PAULI[a]).real / 2
+        assert np.abs(_adjoint_from_unitaries(u) - oracle).max() <= 1e-15
+
+    def test_uniform_view_rejects_jump_at_duplicate_node(self):
+        # nodes 0..8 with duplicates after nodes 2, 4 and 6; the trace is
+        # continuous across the first two and jumps at the last one
+        t = np.array([0.0, 1.0, 2.0, 2.0, 3.0, 4.0, 4.0, 5.0, 6.0, 6.0, 7.0, 8.0])
+        grid = TimeGrid(t, ((0, 2), (3, 5), (6, 8), (9, 11)), 16, 8.0)
+        R = np.repeat(np.eye(3)[None], len(t), axis=0)
+        assert np.array_equal(ControlTrace(grid, R).uniform_view()[0], np.arange(9.0))
+        R[9:] = np.diag([1.0, -1.0, -1.0])
+        with pytest.raises(ValueError, match="trace is discontinuous"):
+            ControlTrace(grid, R).uniform_view()
+
     def test_pure_delay_identity_matrix(self):
         tr = control_trace(Sequence((Segment.delay(2.0),)), 64)
         assert np.abs(tr.R - np.eye(3)).max() < 1e-14

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from crdd.sequences import (
-    CatalogError, ColoredSchedule, NotBipartiteError, PulseShape, QubitGraph,
+    CatalogError, ColoredSchedule, NotBipartiteError, PulseShape, PulseSpec, QubitGraph,
     SEQUENCE_CATALOG, Segment, Sequence, build_named, cr_dd, cr_variant,
     _calibrate_drag, envelope_amplitude, named_phases, pad, sim_dd, sim_variant, two_color,
 )
@@ -88,6 +88,15 @@ class TestCatalog:
         assert seq.pulse_count == 4
         assert seq.duration == 8.0  # back-to-back pulses, no delays
         assert all(s.kind == "pulse" for s in seq.segments)
+
+
+@pytest.mark.parametrize("field", ["phase", "duration", "flip_angle"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_pulse_spec_rejects_non_finite(field, value):
+    kwargs = {"phase": 0.0, "duration": 1.0, "shape": SQUARE, "flip_angle": PI}
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"pulse {field} must be finite"):
+        PulseSpec(**kwargs)
 
 
 class TestSimVariant:

@@ -18,10 +18,11 @@ rotation matrix:
      [2(xz-wy),    2(yz+wx),    ww-xx-yy+zz]]
 
 This homogeneous form equals the trace formula for any U of that form, unit
-or not, so R R^T = |q|^4 I and no check on R could separate a bad node from
-rounding.  The guard is the unitarity check in ``propagate``: U^dag U = |q|^2 I,
-so its defect is | |U00|^2 + |U10|^2 - 1 |.  Error matrices are time integrals
-on the propagation grid (composite Simpson per smooth piece).
+or not.  R R^T = |q|^4 I, so a check on R would only repeat the unitarity
+check at twice its defect; that check, in ``propagate``, is the guard:
+U^dag U = |q|^2 I, so its defect is | |U00|^2 + |U10|^2 - 1 |.  Error matrices
+are time integrals on the propagation grid (composite Simpson per smooth
+piece).
 """
 from __future__ import annotations
 
@@ -210,7 +211,8 @@ def propagate(sequence, samples_per_pulse=256, extra_breakpoints=(), unitarity_t
     """Control unitaries U_C(t_i) at every grid node.
 
     Returns (TimeGrid, U) with U of shape (n_nodes, 2, 2).  Raises
-    IntegrationError if any node's unitarity defect exceeds ``unitarity_tol``.
+    IntegrationError if any node's unitarity defect exceeds ``unitarity_tol``
+    or is NaN.
     ``reference_duration`` overrides the segment the step size is derived
     from (h = reference / samples_per_pulse); traces meant to share a grid
     must share it.

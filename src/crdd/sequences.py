@@ -138,8 +138,8 @@ class Segment:
     def __post_init__(self):
         if self.kind not in ("pulse", "delay"):
             raise ValueError(f"unknown segment kind {self.kind!r}")
-        if self.duration < 0:
-            raise ValueError("segment duration must be >= 0")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"segment duration must be finite and >= 0, got {self.duration!r}")
         if self.kind == "delay" and self.pulse is not None:
             raise ValueError("delay segments carry no pulse payload")
         if self.kind == "pulse":

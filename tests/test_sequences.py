@@ -99,6 +99,12 @@ def test_pulse_spec_rejects_non_finite(field, value):
         PulseSpec(**kwargs)
 
 
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_delay_rejects_negative_or_non_finite(value):
+    with pytest.raises(ValueError, match="segment duration must be finite and >= 0"):
+        Segment.delay(value)
+
+
 class TestSimVariant:
     def test_sim_xy4_2(self):
         seq = sim_dd("XY4", 2, 1.0, SQUARE)

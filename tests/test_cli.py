@@ -178,11 +178,8 @@ class TestSimFitSummarizeReport:
     def test_plan_that_cannot_run_exits_2(self, tmp_path, capsys, field, value):
         plan = tiny_plan_json(tmp_path)
         doc = json.loads(plan.read_text())
-        *parents, key = field.split(".")
-        node = doc
-        for name in parents:
-            node = node[name]
-        node[key] = value
+        section, _, key = field.rpartition(".")
+        (doc[section] if section else doc)[key] = value
         plan.write_text(json.dumps(doc))
         results = tmp_path / "r.csv"
         assert run("sim", "run", "--plan", str(plan), "--seed", "1",

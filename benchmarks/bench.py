@@ -18,9 +18,16 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def refuse_constant(name):
+    raise ValueError(f"non-finite metric {name} in a perfbench result")
+
+
 def last_json_lines(argv, count):
+    """The last ``count`` lines of a run's output as JSON, read strictly:
+    ``NaN`` and ``Infinity`` are refused, as a reader of the result would."""
     out = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True).stdout
-    return [json.loads(line) for line in out.strip().splitlines()[-count:]]
+    return [json.loads(line, parse_constant=refuse_constant)
+            for line in out.strip().splitlines()[-count:]]
 
 
 def perfbench(workload, seed, seconds, trace):
@@ -55,8 +62,9 @@ def main():
     workloads = {}
     for wl in spec["workloads"]:
         prov, end_to_end, ok0, failed0 = perfbench(wl["name"], args.seed, seconds, 0)
-        _, layers, ok1, failed1 = perfbench(wl["name"], args.seed, seconds, 1)
+        traced, layers, ok1, failed1 = perfbench(wl["name"], args.seed, seconds, 1)
         workloads[wl["name"]] = {"end_to_end": end_to_end, "layers": layers,
+                                 "absent_metrics": traced["absent_metrics"],
                                  "correct": ok0 and ok1, "failed": failed0 + failed1}
     doc = {"pr": args.pr, "git_sha": prov["git_sha"], "seed": args.seed,
            "seconds": seconds,

@@ -458,12 +458,16 @@ class SuppressionReport:
                 fh.write(f"{kind},{a},{b},{repr(float(v))},{str(bool(ok)).lower()}\n")
 
 
+def _check_tol(tol):
+    if not (math.isfinite(tol) and tol > 0):  # a NaN tol would fail every entry
+        raise ValueError(f"tol must be finite and > 0; got {tol}")
+
+
 def verify_first_order(obj, samples_per_pulse=256, tol=1e-8):
     """Evaluate chi1 per color and chi2 for the pair; pass iff every entry is
     below tol * tau_c.  A bare Sequence is treated as applied simultaneously
     to both edge endpoints."""
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    _check_tol(tol)
     rows = []
     if isinstance(obj, ColoredSchedule):
         tr, tb = paired_traces(obj, samples_per_pulse)
@@ -524,6 +528,7 @@ class SymmetryReport:
 def classify_symmetry(trace, mu, alpha, tol=1e-6):
     """Relative L2 residuals of R(t + tau_c/2) = +/- R(t) and
     R(tau_c - t) = +/- R(t) for one component."""
+    _check_tol(tol)
     t, R = trace.uniform_view()
     n = len(t) - 1
     if n % 2:

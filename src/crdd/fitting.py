@@ -6,6 +6,18 @@ gamma >= 0.  Fitting is a bounded Levenberg-Marquardt iteration: damped
 normal-equation steps clamped to the bounds, with bound-active gradient
 components masked in the convergence check (projected gradient norm <= 1e-10
 or 500 iterations).
+
+The time average integrates the natural cubic spline through the trace in
+closed form.  With knots t_i, steps h_i = t_{i+1} - t_i and second
+derivatives M_i (M_0 = M_n = 0, from one tridiagonal solve), piece i in its
+local variable u = x - t_i is p_i + b_i u + M_i u^2/2 + (M_{i+1} - M_i)
+u^3/(6 h_i), with b_i = (p_{i+1} - p_i)/h_i - h_i (2 M_i + M_{i+1})/6, and
+integrates to
+
+    p_i u + b_i u^2/2 + M_i u^3/6 + (M_{i+1} - M_i) u^4/(24 h_i).
+
+The antiderivative is these pieces summed from t_0, with the end pieces
+extended past the outer knots.  The module needs numpy only.
 """
 from __future__ import annotations
 
@@ -13,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "FitResult", "BootstrapCI", "fit_decay", "characteristic_time",
@@ -191,14 +202,55 @@ def bootstrap_mean_ci(samples, resamples=10000, level=0.95, seed=0):
     return BootstrapCI(float(x.mean()), float(lo), float(hi), level, resamples)
 
 
+def _natural_second_derivatives(h, slope):
+    """Second derivatives M of the natural cubic spline at its knots, with
+    M[0] = M[-1] = 0: the tridiagonal system h[i-1] M[i-1] + 2 (h[i-1] + h[i])
+    M[i] + h[i] M[i+1] = 6 (slope[i] - slope[i-1]), solved by elimination
+    without pivoting (the matrix is strictly diagonally dominant)."""
+    diag = 2.0 * (h[:-1] + h[1:])
+    rhs = 6.0 * np.diff(slope)
+    for i in range(1, len(diag)):
+        w = h[i] / diag[i - 1]
+        diag[i] -= w * h[i]
+        rhs[i] -= w * rhs[i - 1]
+    m = np.zeros(len(h) + 1)
+    for i in range(len(diag) - 1, -1, -1):
+        m[i + 1] = (rhs[i] - h[i + 1] * m[i + 2]) / diag[i]
+    return m
+
+
 def time_avg_survival(points, T):
     """Time-averaged survival over [0, T]: natural cubic spline through the
-    trace, normalized by the initial probability, integrated exactly."""
+    trace, normalized by the initial probability, integrated exactly (see the
+    module docstring).  Needs T finite and > 0, at least 2 points with finite,
+    strictly increasing t and finite p, spanning [0, T]."""
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"T must be finite and > 0; got {T}")
     t, p = _as_arrays(points)
+    if len(t) < 2:
+        raise ValueError("need at least 2 points")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
+        raise ValueError("t and p must be finite")
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("t must be strictly increasing")
     if t[0] > 1e-12 * max(T, 1.0) or t[-1] < T * (1 - 1e-12):
         raise ValueError(f"points must span [0, T]; got [{t[0]}, {t[-1]}] for T={T}")
     if not p[0] > 0:
         raise ValueError("initial probability must be positive")
-    spline = CubicSpline(t, p, bc_type="natural")
-    integral = float(spline.antiderivative()(T) - spline.antiderivative()(0.0))
-    return integral / (T * float(p[0]))
+    h = np.diff(t)
+    slope = np.diff(p) / h
+    m = _natural_second_derivatives(h, slope)
+    b = slope - h * (2.0 * m[:-1] + m[1:]) / 6.0
+
+    def piece_integral(i, u):
+        return u * (p[i] + u * (b[i] / 2.0 + u * (m[i] / 6.0
+                                                  + u * (m[i + 1] - m[i]) / (24.0 * h[i]))))
+
+    start = np.concatenate(([0.0], np.cumsum(piece_integral(np.arange(len(h)), h))))
+
+    def antiderivative(x):
+        i = min(max(int(np.searchsorted(t, x, side="right")) - 1, 0), len(h) - 1)
+        return start[i] + piece_integral(i, x - t[i])
+
+    integral = float(antiderivative(T) - antiderivative(0.0))
+    return float(integral / (T * float(p[0])))

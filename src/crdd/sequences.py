@@ -21,7 +21,6 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erf
 
 from . import _kernels
 
@@ -294,8 +293,10 @@ class ColoredSchedule:
 # ---------------------------------------------------------------------------
 
 def _gaussian_waveform(theta, tau_p, sigma, t):
-    """Truncated gaussian recalibrated so its area over [0, tau_p] is theta."""
-    area = sigma * math.sqrt(2 * math.pi) * erf(tau_p / (2 * math.sqrt(2) * sigma))
+    """Truncated gaussian recalibrated so its area over [0, tau_p] is theta.
+    The area takes the scalar ``math.erf``, which keeps scipy off the import
+    path."""
+    area = sigma * math.sqrt(2 * math.pi) * math.erf(tau_p / (2 * math.sqrt(2) * sigma))
     amp = theta / area
     g = amp * np.exp(-0.5 * ((t - tau_p / 2) / sigma) ** 2)
     dg = g * (-(t - tau_p / 2) / sigma ** 2)

@@ -106,6 +106,18 @@ class TestAnalyzeVerbs:
         assert "phase must be finite" in captured.err
         assert "FAIL" not in captured.out
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+    @pytest.mark.parametrize("verb", [("verify",), ("analyze", "symmetry")],
+                             ids=["verify", "analyze_symmetry"])
+    def test_unusable_tolerance_exits_2(self, tmp_path, sched_json, capsys, verb, tol):
+        out = tmp_path / "out.csv"
+        assert run(*verb, "--schedule", str(sched_json), "--samples", "64",
+                   "--tol", tol, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "tol must be finite and > 0" in captured.err
+        assert "FAIL" not in captured.out
+        assert not out.exists()
+
     def test_verify_fail_on_sim(self, tmp_path, seq_json, capsys):
         # catalog sequence applied simultaneously has unsuppressed ZZ entries
         assert run("verify", "--sequence", str(seq_json), "--samples", "64") == 0

@@ -154,3 +154,38 @@ class TestTimeAvgSurvival:
         t = np.linspace(0.0, 1.0, 10)
         with pytest.raises(ValueError, match="span"):
             time_avg_survival(list(zip(t, np.exp(-t))), 2.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 20])
+    @pytest.mark.parametrize("window", ["ends_at_T", "past_T", "late_start"])
+    def test_matches_scipy_natural_spline(self, window, n):
+        from scipy.interpolate import CubicSpline
+        rng = np.random.default_rng([n, len(window)])
+        for _ in range(40):
+            T = 10.0 ** rng.uniform(-6, 1)
+            t = np.concatenate(([0.0], np.sort(rng.uniform(0, T, n - 2)), [T]))
+            if window == "past_T":
+                t[-1] = T * rng.uniform(1.01, 2.0)
+            elif window == "late_start":
+                t[0] = rng.uniform(0.01, 1.0) * 1e-12 * T
+            A, g, c = rng.uniform(0.3, 0.8), rng.uniform(0.5, 5.0), rng.uniform(0.05, 0.2)
+            p = A * np.exp(-g * t / T) + c + rng.normal(0, 0.01, n)
+            spline = CubicSpline(t, p, bc_type="natural").antiderivative()
+            ref = float(spline(T) - spline(0.0)) / (T * p[0])
+            avg = time_avg_survival(list(zip(t, p)), T)
+            assert type(avg) is float
+            assert abs(avg - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("t, p, T, message", [
+        ([0.0, 0.5, 1.0], [1.0, 0.8, 0.7], 0.0, "T must be finite and > 0"),
+        ([0.0, 0.5, 1.0], [1.0, 0.8, 0.7], math.nan, "T must be finite and > 0"),
+        ([0.0, 0.5, 1.0], [1.0, 0.8, 0.7], -1.0, "T must be finite and > 0"),
+        ([0.0, 1.0, 0.5], [1.0, 0.8, 0.7], 1.0, "strictly increasing"),
+        ([0.0, 0.5, 0.5, 1.0], [1.0, 0.8, 0.8, 0.7], 1.0, "strictly increasing"),
+        ([0.0, 0.5, 1.0], [1.0, math.nan, 0.7], 1.0, "t and p must be finite"),
+        ([0.0, 0.5, 1.0], [1.0, math.inf, 0.7], 1.0, "t and p must be finite"),
+        ([0.0], [1.0], 1.0, "at least 2 points"),
+    ], ids=["T_zero", "T_nan", "T_negative", "unsorted_t", "duplicated_t", "nan_p",
+            "inf_p", "single_point"])
+    def test_refuses_unusable_input(self, t, p, T, message):
+        with pytest.raises(ValueError, match=message):
+            time_avg_survival(list(zip(t, p)), T)

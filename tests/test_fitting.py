@@ -159,7 +159,7 @@ class TestTimeAvgSurvival:
     @pytest.mark.parametrize("window", ["ends_at_T", "past_T", "late_start"])
     def test_matches_scipy_natural_spline(self, window, n):
         from scipy.interpolate import CubicSpline
-        rng = np.random.default_rng([n, len(window)])
+        rng = np.random.default_rng(n)
         for _ in range(40):
             T = 10.0 ** rng.uniform(-6, 1)
             t = np.concatenate(([0.0], np.sort(rng.uniform(0, T, n - 2)), [T]))

@@ -17,12 +17,11 @@ from .control import (
     control_trace, propagate, verify_first_order,
 )
 from .sim import (
-    DeviceModel, StateSpec, build_hamiltonian, SurvivalPoint, SurvivalRecord, cycle_propagator,
+    DeviceModel, StateSpec, SurvivalPoint, SurvivalRecord, cycle_propagator,
     encode_decode_survival, evolve, idle_schedule, prepare_states,
 )
 from .fitting import (
-    BootstrapCI, FitResult, bootstrap_mean_ci, characteristic_time, fit_decay,
-    time_avg_survival,
+    BootstrapCI, FitResult, bootstrap_mean_ci, fit_decay, time_avg_survival,
 )
 from .experiment import (
     ExperimentPlan, default_plan, fit_dataset, run_experiment, schedule_points,

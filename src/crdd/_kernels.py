@@ -26,10 +26,18 @@
     transverse coefficients varying in time, applied matrix-free.  Transverse
     coefficients are sampled per step at (start, midpoint, end) so segment
     boundaries stay one-sided.
+
+``IntegrationError`` is the one error both engines raise when a propagated
+state or unitary loses its norm beyond tolerance.
 """
 import math
 
 import numpy as np
+
+
+class IntegrationError(RuntimeError):
+    """Propagation lost norm or unitarity beyond tolerance."""
+
 
 _SQRT3 = math.sqrt(3.0)
 _GAUSS_NODES = (0.5 - _SQRT3 / 6, 0.5 + _SQRT3 / 6)

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .sequences import ColoredSchedule, Sequence, envelope_amplitude
+from ._kernels import IntegrationError
+from .sequences import ColoredSchedule, Sequence, _reference_duration, envelope_amplitude
 
 __all__ = [
     "TimeGrid", "ControlTrace", "ErrorMatrix", "SuppressionReport",
@@ -43,10 +44,6 @@ __all__ = [
 ]
 
 AXES = "XYZ"
-
-
-class IntegrationError(RuntimeError):
-    """Propagation lost unitarity beyond tolerance."""
 
 
 class GridMismatchError(ValueError):
@@ -68,7 +65,7 @@ def _axis_index(a):
 # Step plans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Node times of a propagated trace.
 
@@ -81,11 +78,6 @@ class TimeGrid:
     pieces: tuple
     samples_per_pulse: int
     duration: float
-
-    def __eq__(self, other):
-        return (isinstance(other, TimeGrid)
-                and self.pieces == other.pieces
-                and np.array_equal(self.times, other.times))
 
     def quadrature_compatible(self, other):
         """Same smooth-piece structure and node times on every piece.
@@ -118,14 +110,6 @@ class _StepPlan:
         return TimeGrid(times, tuple(self.pieces), self.samples_per_pulse, self.duration)
 
 
-def _reference_duration(sequence):
-    bounded = [s.duration for s in sequence.segments if s.kind == "pulse" and s.duration > 0]
-    if bounded:
-        return max(bounded)
-    positive = [s.duration for s in sequence.segments if s.duration > 0]
-    return min(positive)
-
-
 def _split_points(segments, extra, total):
     """Per-segment sorted interior split offsets from global breakpoints."""
     tol = 1e-12 * max(total, 1.0)
@@ -151,7 +135,7 @@ def _plan_sequence(sequence, samples_per_pulse, extra_breakpoints=(),
     if samples_per_pulse < 16:
         raise ValueError("samples_per_pulse must be >= 16")
     total = sequence.duration
-    ref = reference_duration if reference_duration else _reference_duration(sequence)
+    ref = reference_duration if reference_duration else _reference_duration(sequence.segments)
     h = ref / samples_per_pulse
     splits = _split_points(sequence.segments, extra_breakpoints, total)
 
@@ -402,7 +386,8 @@ def paired_traces(schedule, samples_per_pulse=256, ideal=False):
     """Red/blue traces of a schedule on a shared grid: union of both
     sequences' boundaries and a common step size."""
     extra = sorted(set(schedule.red.boundaries()) | set(schedule.blue.boundaries()))
-    ref = max(_reference_duration(schedule.red), _reference_duration(schedule.blue))
+    ref = max(_reference_duration(schedule.red.segments),
+              _reference_duration(schedule.blue.segments))
     maker = bang_bang_trace if ideal else control_trace
     tr = maker(schedule.red, samples_per_pulse, extra_breakpoints=extra,
                reference_duration=ref)
@@ -428,10 +413,6 @@ class SuppressionReport:
     @property
     def passed(self):
         return all(r[4] for r in self.rows if r[0] == "two_local")
-
-    @property
-    def all_passed(self):
-        return all(r[4] for r in self.rows)
 
     @property
     def max_abs(self):

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FitResult", "BootstrapCI", "fit_decay", "characteristic_time",
-    "bootstrap_mean_ci", "time_avg_survival",
+    "FitResult", "BootstrapCI", "fit_decay", "bootstrap_mean_ci", "time_avg_survival",
 ]
 
 _LOWER = np.array([0.0, 0.0, 0.0])
@@ -59,14 +58,15 @@ class FitResult:
 
 
 def _as_arrays(points):
-    pts = list(points)
-    if len(pts) == 2 and np.ndim(pts[0]) == 1 and len(pts[0]) != 2:
-        t = np.asarray(pts[0], dtype=float)
-        p = np.asarray(pts[1], dtype=float)
-    else:
-        arr = np.asarray(pts, dtype=float)
-        t, p = arr[:, 0], arr[:, 1]
-    return t, p
+    """t and p of a trace given as ``(t, p)`` rows, shape (n, 2).
+
+    An empty, 1-D or non-two-column trace is refused, and with it a ``(t, p)``
+    pair of columns.  A 2 x 2 pair of columns cannot be told apart from two
+    rows and is read as rows."""
+    arr = np.asarray(list(points), dtype=float)
+    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] != 2:
+        raise ValueError(f"trace must be (t, p) rows of shape (n, 2); got shape {arr.shape}")
+    return arr[:, 0], arr[:, 1]
 
 
 def _model(params, t):
@@ -89,7 +89,7 @@ def _projected_gradient(params, grad):
 
 
 def fit_decay(points):
-    """Fit A exp(-gamma t) + c to (t, p0) points.
+    """Fit A exp(-gamma t) + c to a trace of (t, p0) rows (see ``_as_arrays``).
 
     Requires >= 4 points with strictly increasing nonnegative t.  All-equal
     data returns a degenerate-flagged result with A = 0, gamma = 0, c = p.
@@ -159,13 +159,6 @@ def _standard_errors(params, t, rss):
         return (math.nan, math.nan, math.nan)
 
 
-def characteristic_time(fit):
-    """tau_gamma = 1/gamma in seconds; inf for a flagged zero-rate fit."""
-    if fit.gamma == 0.0:
-        return math.inf
-    return 1.0 / fit.gamma
-
-
 @dataclass(frozen=True)
 class BootstrapCI:
     mean: float
@@ -221,9 +214,10 @@ def _natural_second_derivatives(h, slope):
 
 def time_avg_survival(points, T):
     """Time-averaged survival over [0, T]: natural cubic spline through the
-    trace, normalized by the initial probability, integrated exactly (see the
-    module docstring).  Needs T finite and > 0, at least 2 points with finite,
-    strictly increasing t and finite p, spanning [0, T]."""
+    trace of (t, p) rows (see ``_as_arrays``), normalized by the initial
+    probability, integrated exactly (see the module docstring).  Needs T
+    finite and > 0, at least 2 points with finite, strictly increasing t and
+    finite p, spanning [0, T]."""
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"T must be finite and > 0; got {T}")
     t, p = _as_arrays(points)

@@ -38,6 +38,17 @@ def _log_ticks(lo, hi):
     return [10.0 ** d for d in range(lo_d, hi_d + 1)]
 
 
+def _y_range(values, log_y):
+    """Padded y-axis range: a factor 1.5 around the positive values on a log
+    axis, else 5% of the span (or of 1 for a flat series) on each side."""
+    if log_y:
+        positive = [v for v in values if v > 0] or [1e-3]
+        return min(positive) / 1.5, max(positive) * 1.5
+    lo, hi = min(values), max(values)
+    pad = 0.05 * ((hi - lo) or 1.0)
+    return lo - pad, hi + pad
+
+
 class _Axes:
     def __init__(self, xlo, xhi, ylo, yhi, log_y=False):
         self.xlo, self.xhi = xlo, xhi
@@ -95,15 +106,7 @@ def svg_line_plot(series, title="", xlabel="", ylabel="", log_y=False):
     ys_all = [y for (_, _, ys) in series for y in ys]
     if not xs_all:
         raise ValueError("no data to plot")
-    if log_y:
-        positive = [y for y in ys_all if y > 0] or [1e-3]
-        ylo, yhi = min(positive), max(positive)
-        ylo, yhi = ylo / 1.5, yhi * 1.5
-    else:
-        ylo, yhi = min(ys_all), max(ys_all)
-        pad = 0.05 * ((yhi - ylo) or 1.0)
-        ylo, yhi = ylo - pad, yhi + pad
-    ax = _Axes(min(xs_all), max(xs_all), ylo, yhi, log_y)
+    ax = _Axes(min(xs_all), max(xs_all), *_y_range(ys_all, log_y), log_y)
     parts = []
     _frame(parts, ax, title, xlabel, ylabel)
     for i, (label, xs, ys) in enumerate(series):
@@ -131,14 +134,7 @@ def svg_box_plot(groups, title="", ylabel="", log_y=False):
     # when every value is infinite (no decay was fitted) the frame and group
     # labels are still drawn, on a default range
     vals_all = [v for v in vals_all if math.isfinite(v)] or [1e-3]
-    if log_y:
-        positive = [v for v in vals_all if v > 0] or [1e-3]
-        ylo, yhi = min(positive) / 1.5, max(positive) * 1.5
-    else:
-        ylo, yhi = min(vals_all), max(vals_all)
-        pad = 0.05 * ((yhi - ylo) or 1.0)
-        ylo, yhi = ylo - pad, yhi + pad
-    ax = _Axes(0.0, float(len(groups)), ylo, yhi, log_y)
+    ax = _Axes(0.0, float(len(groups)), *_y_range(vals_all, log_y), log_y)
     parts = []
     _frame(parts, ax, title, "", ylabel)
     for i, (label, values) in enumerate(groups):

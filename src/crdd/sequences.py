@@ -288,6 +288,17 @@ class ColoredSchedule:
         return cls.from_dict(json.loads(text))
 
 
+def _reference_duration(segments):
+    """Duration that sets the integration step (``h = reference /
+    samples_per_pulse``): the longest bounded pulse, else the shortest
+    positive segment."""
+    segments = tuple(segments)
+    bounded = [s.duration for s in segments if s.kind == "pulse" and s.duration > 0]
+    if bounded:
+        return max(bounded)
+    return min(s.duration for s in segments if s.duration > 0)
+
+
 # ---------------------------------------------------------------------------
 # Envelopes
 # ---------------------------------------------------------------------------
@@ -477,14 +488,11 @@ _CATALOG_LOOKUP = {k.lower(): k for k in SEQUENCE_CATALOG}
 
 def named_phases(name):
     """Ordered phase list (temporal order) of a catalog sequence."""
-    key = _CATALOG_LOOKUP.get(str(name).lower())
-    if key is None:
-        raise CatalogError(
-            f"unknown sequence {name!r}; catalog: {', '.join(SEQUENCE_CATALOG)}")
-    return SEQUENCE_CATALOG[key]
+    return SEQUENCE_CATALOG[canonical_name(name)]
 
 
 def canonical_name(name):
+    """Catalog spelling of a case-insensitive sequence name."""
     key = _CATALOG_LOOKUP.get(str(name).lower())
     if key is None:
         raise CatalogError(

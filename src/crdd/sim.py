@@ -30,14 +30,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .sequences import QubitGraph, Segment, Sequence, envelope_amplitude, two_color
+from ._kernels import IntegrationError
+from .sequences import (
+    QubitGraph, Segment, Sequence, _reference_duration, envelope_amplitude, two_color,
+)
 
 __all__ = [
     "MAX_QUBITS", "CapacityError", "DeviceModel", "StateSpec", "SurvivalPoint",
-    "SurvivalRecord", "POLES", "prepare_states", "product_state",
-    "dense_hamiltonian", "apply_hamiltonian", "build_hamiltonian",
-    "HamiltonianOperator", "evolve", "cycle_propagator",
-    "encode_decode_survival", "idle_schedule", "shot_rng",
+    "SurvivalRecord", "POLES", "IntegrationError", "prepare_states", "product_state",
+    "dense_hamiltonian", "evolve", "cycle_propagator", "encode_decode_survival",
+    "idle_schedule", "shot_rng",
 ]
 
 MAX_QUBITS = 14
@@ -56,10 +58,6 @@ _POLE_VECTORS = {
 
 class CapacityError(ValueError):
     """System size exceeds the dense-statevector budget."""
-
-
-class IntegrationError(RuntimeError):
-    """Statevector norm drifted beyond tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -250,56 +248,23 @@ def hamiltonian_diagonal(device):
     return diag
 
 
-def apply_hamiltonian(device, drives, psi):
-    """H(t) psi for instantaneous per-qubit drives, matrix-free.
+def dense_hamiltonian(device, drives):
+    """Dense 2^n x 2^n matrix of H for per-qubit instantaneous drives, for
+    small systems (test oracle).
 
     ``drives``: (n, 2) array of transverse drive components (hx, hy) per qubit,
     i.e. the full Hamiltonian is sum_q (hx_q X_q + hy_q Y_q)/2 + H_err.
     """
     n = device.n
-    _check_capacity(n)
     drives = np.asarray(drives, dtype=float)
-    diag = hamiltonian_diagonal(device)
-    out = (diag.reshape(diag.size, -1) * psi.reshape(diag.size, -1)).reshape(psi.shape)
+    h = np.diag(hamiltonian_diagonal(device)).astype(complex)
+    eye = np.eye(1 << n, dtype=complex)
     for q in range(n):
         ax = 0.5 * drives[q, 0] + device.b[q, 0]
         ay = 0.5 * drives[q, 1] + device.b[q, 1]
-        if ax == 0.0 and ay == 0.0:
-            continue
         gate = np.array([[0.0, ax - 1j * ay], [ax + 1j * ay, 0.0]])
-        out = out + _apply_single_qubit(psi, gate, q, n)
-    return out
-
-
-def dense_hamiltonian(device, drives):
-    """Dense matrix of H for small systems (test oracle)."""
-    _check_capacity(device.n)
-    # all columns in one block, so the diagonal is built once
-    return apply_hamiltonian(device, drives, np.eye(1 << device.n, dtype=complex))
-
-
-class HamiltonianOperator:
-    """H(t) at fixed instantaneous drives, applied matrix-free."""
-
-    def __init__(self, device, drives):
-        _check_capacity(device.n)
-        self.device = device
-        self.drives = np.asarray(drives, dtype=float)
-        self.dim = 1 << device.n
-
-    def apply(self, psi):
-        return apply_hamiltonian(self.device, self.drives, psi)
-
-    __call__ = apply
-
-    def dense(self):
-        return dense_hamiltonian(self.device, self.drives)
-
-
-def build_hamiltonian(device, drives):
-    """Hermitian 2^n x 2^n operator for per-qubit instantaneous drives,
-    returned in matrix-free form (capacity-capped at n = 14)."""
-    return HamiltonianOperator(device, drives)
+        h += _apply_single_qubit(eye, gate, q, n)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +331,7 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
     diag_bound = float(np.abs(diag).max())
     transverse = np.any(device.b[:, :2] != 0.0, axis=1)
 
-    bounded = [sg.duration for s in schedules for sg in s.segments
-               if sg.kind == "pulse" and sg.duration > 0]
-    if bounded:
-        ref = max(bounded)
-    else:
-        ref = min(sg.duration for s in schedules for sg in s.segments if sg.duration > 0)
-    h_target = ref / samples_per_pulse
+    h_target = _reference_duration(sg for s in schedules for sg in s.segments) / samples_per_pulse
 
     tol = 1e-12 * duration
     cuts = {0.0, duration}
@@ -520,8 +479,11 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
     Each shared key holds one dim x dim array for the whole call, so peak
     memory grows by that many dim^2 amplitudes; a statevector builds one only
     for a key it would otherwise propagate at least ``dim`` times.
-    Raises IntegrationError when column norms drift beyond ``norm_tol``."""
-    device = device.colored() if device.graph.coloring is None else device
+    Raises IntegrationError when a column norm drifts beyond ``norm_tol`` or
+    turns NaN, and ValueError for a ``norm_tol`` that is not finite and > 0."""
+    if not (math.isfinite(norm_tol) and norm_tol > 0):
+        raise ValueError(f"norm_tol must be finite and > 0; got {norm_tol}")
+    device = device.colored()
     schedules = _normalize_schedules(device, schedules)
     diag = hamiltonian_diagonal(device)
     spans = _compile_cycle(device, schedules, samples_per_pulse, diag)
@@ -546,7 +508,7 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
         psi = _run_cycle(spans, psi, diag, zsign, shared)
     norms_out = np.linalg.norm(psi.reshape(dim, -1), axis=0)
     drift = np.abs(norms_out / norms_in - 1.0).max()
-    if drift > norm_tol:
+    if not drift <= norm_tol:  # written so that a NaN state also fails
         raise IntegrationError(f"norm drift {drift:.3e} exceeds {norm_tol:.1e}")
     return psi
 
@@ -609,7 +571,7 @@ def encode_decode_survival(state, device, schedules, repetitions, shots, seed,
                            samples_per_pulse=256):
     """Encode the product state, protect for ``repetitions`` cycles, decode,
     and estimate the all-zeros survival probability from sampled shots."""
-    device = device.colored() if device.graph.coloring is None else device
+    device = device.colored()
     schedules = _normalize_schedules(device, schedules)
     enc = product_state(state.poles)
     psi = evolve(device, schedules, repetitions=repetitions, psi0=enc,

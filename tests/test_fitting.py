@@ -5,7 +5,7 @@ import pytest
 
 from crdd import fitting
 from crdd.fitting import (
-    bootstrap_mean_ci, characteristic_time, fit_decay, time_avg_survival,
+    bootstrap_mean_ci, fit_decay, time_avg_survival,
 )
 
 
@@ -95,12 +95,12 @@ class TestFitDecay:
 class TestCharacteristicTime:
     def test_reciprocal(self):
         fit = fit_decay(model_points(0.8, 0.2e6, 0.1, np.linspace(0, 2e-5, 10)))
-        assert characteristic_time(fit) == pytest.approx(5e-6, rel=1e-6)
+        assert fit.tau_gamma == pytest.approx(5e-6, rel=1e-6)
 
     def test_zero_rate_flagged_infinite(self):
         t = np.arange(0.0, 50.0, 5.0)
         fit = fit_decay([(tt, 0.42) for tt in t])
-        assert math.isinf(characteristic_time(fit))
+        assert math.isinf(fit.tau_gamma)
 
 
 class TestBootstrap:
@@ -189,3 +189,27 @@ class TestTimeAvgSurvival:
     def test_refuses_unusable_input(self, t, p, T, message):
         with pytest.raises(ValueError, match=message):
             time_avg_survival(list(zip(t, p)), T)
+
+
+class TestRowsOnlyTrace:
+    ROWS = [(0.0, 1.0), (1.0, 0.5), (2.0, 0.3), (3.0, 0.2)]
+
+    @pytest.mark.parametrize("points", [
+        [],
+        [0.0, 1.0, 2.0, 3.0],
+        [(t, p, 9.0) for t, p in ROWS],
+        tuple(zip(*ROWS)),
+    ], ids=["empty", "one_dim", "three_columns", "column_pair"])
+    @pytest.mark.parametrize("use", ["fit_decay", "time_avg_survival"])
+    def test_refuses_non_rows(self, use, points):
+        with pytest.raises(ValueError, match=r"\(t, p\) rows"):
+            if use == "fit_decay":
+                fit_decay(points)
+            else:
+                time_avg_survival(points, 3.0)
+
+    def test_two_by_two_reads_as_rows(self):
+        # indistinguishable from a 2 x 2 column pair, and read as two rows
+        rows = [(0.0, 0.9), (0.5, 0.6)]
+        assert time_avg_survival(np.array(rows), 0.5) == time_avg_survival(rows, 0.5)
+        assert time_avg_survival(rows, 0.5) == pytest.approx(0.8333333333333333, rel=1e-12)

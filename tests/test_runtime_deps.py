@@ -1,6 +1,10 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+
+import pytest
 
 import crdd
 
@@ -14,3 +18,13 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+# ``import crdd`` itself is checked at the top of this file and, in a fresh
+# interpreter, by test_import_loads_no_scipy
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(crdd.__path__)))
+def test_all_names_resolve(module):
+    # a stale export left behind by a removal fails here
+    mod = importlib.import_module(f"crdd.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from crdd import _kernels, control
 from crdd.control import chi1, control_trace
 from crdd.sequences import PulseShape, QubitGraph, Segment, Sequence, cr_dd, sim_dd, two_color
 from crdd.sim import (
-    CapacityError, DeviceModel, apply_hamiltonian, cycle_propagator,
+    CapacityError, DeviceModel, IntegrationError, cycle_propagator,
     decode_probabilities, dense_hamiltonian, encode_decode_survival, evolve,
-    idle_schedule, prepare_states, product_state, sample_survival, shot_rng,
-    StateSpec,
+    hamiltonian_diagonal, idle_schedule, prepare_states, product_state,
+    sample_survival, shot_rng, StateSpec,
 )
 
 PI = math.pi
@@ -42,16 +43,11 @@ class TestHamiltonian:
         drives = rng.normal(size=(3, 2))
         h = dense_hamiltonian(dev, drives)
         assert np.abs(h - h.conj().T).max() < 1e-12
-        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        assert np.abs(h @ psi - apply_hamiltonian(dev, drives, psi)).max() < 1e-12
-
-    def test_matrix_free_operator_wrapper(self):
-        from crdd.sim import build_hamiltonian
-        rng = np.random.default_rng(4)
-        dev = two_qubit_device(0.02, b=rng.normal(scale=0.1, size=(2, 3)))
-        op = build_hamiltonian(dev, rng.normal(size=(2, 2)))
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        assert np.abs(op(psi) - op.dense() @ psi).max() < 1e-12
+        # the oracle against the production kernel at the device's rates
+        psi = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        rates = 0.5 * drives + dev.b[:, :2]
+        out = _kernels.apply_h(psi, rates[:, 0], rates[:, 1], hamiltonian_diagonal(dev), 3)
+        assert np.abs(-1j * h @ psi - out).max() < 1e-12
 
     def test_capacity_error(self):
         g = QubitGraph(15, ())
@@ -130,6 +126,28 @@ class TestEvolveOracles:
         psi = evolve(dev, [sched.red, sched.blue], repetitions=50,
                      psi0=product_state(("+x", "+y")))
         assert abs(np.linalg.norm(psi) - 1) < 1e-9
+
+    def test_nan_state_raises(self):
+        dev = two_qubit_device(5e-3)
+        with pytest.raises(IntegrationError, match="nan"):
+            evolve(dev, idle_schedule(1.0), psi0=[math.nan, 0, 0, 0])
+
+    @pytest.mark.parametrize("norm_tol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_unusable_norm_tol(self, norm_tol):
+        dev = two_qubit_device(5e-3)
+        with pytest.raises(ValueError, match="norm_tol"):
+            evolve(dev, idle_schedule(1.0), norm_tol=norm_tol)
+
+    def test_one_integration_error_class(self, monkeypatch):
+        assert IntegrationError is control.IntegrationError
+        expm_action = _kernels.expm_action
+
+        def lossy(*args):
+            return 0.5 * expm_action(*args)
+
+        monkeypatch.setattr(_kernels, "expm_action", lossy)
+        with pytest.raises(control.IntegrationError, match="norm drift"):
+            evolve(two_qubit_device(5e-3), idle_schedule(1.0))
 
 
 class TestExactIntervals:

@@ -33,7 +33,9 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import IntegrationError
-from .sequences import ColoredSchedule, Sequence, _reference_duration, envelope_amplitude
+from .sequences import (
+    ColoredSchedule, Sequence, _common_cut, _reference_duration, envelope_amplitude,
+)
 
 __all__ = [
     "TimeGrid", "ControlTrace", "ErrorMatrix", "SuppressionReport",
@@ -76,7 +78,6 @@ class TimeGrid:
 
     times: np.ndarray
     pieces: tuple
-    samples_per_pulse: int
     duration: float
 
     def quadrature_compatible(self, other):
@@ -93,126 +94,97 @@ class TimeGrid:
         return True
 
 
-class _StepPlan:
-    """Flattened integration recipe: per-step durations, CF4 coefficient pairs
-    and event markers for one sequence."""
+def _plan_sequence(sequence, samples_per_pulse, partners=()):
+    """Fixed-step CF4 plan of ``sequence`` on the cut it shares with
+    ``partners``: its TimeGrid, the per-step coefficients ``(cx, cy, dx, dy)``
+    and its instantaneous rotations as ``{node: (phase, flip_angle)}``.
 
-    def __init__(self, dt, cx, cy, dx, dy, pieces, events, duration, samples_per_pulse):
-        self.dt = dt
-        self.cx, self.cy, self.dx, self.dy = cx, cy, dx, dy
-        self.pieces = pieces
-        self.events = events  # node indices of instantaneous rotations
-        self.duration = duration
-        self.samples_per_pulse = samples_per_pulse
-
-    def grid(self):
-        times = np.concatenate(([0.0], np.cumsum(self.dt)))
-        return TimeGrid(times, tuple(self.pieces), self.samples_per_pulse, self.duration)
-
-
-def _split_points(segments, extra, total):
-    """Per-segment sorted interior split offsets from global breakpoints."""
-    tol = 1e-12 * max(total, 1.0)
-    starts = []
-    t = 0.0
-    for s in segments:
-        starts.append(t)
-        t += s.duration
-    per_seg = [[] for _ in segments]
-    for b in sorted(set(float(x) for x in extra)):
-        if b <= tol or b >= total - tol:
-            continue
-        for i, s in enumerate(segments):
-            lo, hi = starts[i], starts[i] + s.duration
-            if lo + tol < b < hi - tol:
-                per_seg[i].append(b - lo)
-                break
-    return per_seg
-
-
-def _plan_sequence(sequence, samples_per_pulse, extra_breakpoints=(),
-                   reference_duration=None):
+    The step is ``_reference_duration`` of the sequence and its partners over
+    ``samples_per_pulse``, so sequences planned as each other's partners
+    share a grid.
+    """
     if samples_per_pulse < 16:
         raise ValueError("samples_per_pulse must be >= 16")
-    total = sequence.duration
-    ref = reference_duration if reference_duration else _reference_duration(sequence.segments)
-    h = ref / samples_per_pulse
-    splits = _split_points(sequence.segments, extra_breakpoints, total)
+    seqs = (sequence, *partners)
+    edges, cut, instants = _common_cut(seqs)
+    h = _reference_duration(seqs) / samples_per_pulse
 
     runs = []  # (dt, cx, cy, dx, dy) arrays, one tuple per run of steps
-    pieces, events = [], []
+    pieces, events = [], {}
     node = 0
     sep_needed = False  # insert a duplicate-node marker before the next piece
     g1, g2 = _kernels._GAUSS_NODES
     zero = np.zeros(1)
 
-    for seg, seg_splits in zip(sequence.segments, splits):
-        if seg.kind == "pulse" and seg.duration == 0.0:
+    for i in range(len(edges)):
+        for q, p in instants.get(i, ()):
+            if q:  # a partner's instantaneous pulse only cuts the grid
+                continue
             # instantaneous rotation: one zero-duration step, no piece
-            p = seg.pulse
             runs.append((zero, np.array([p.flip_angle * math.cos(p.phase)]),
                          np.array([p.flip_angle * math.sin(p.phase)]), zero, zero))
             node += 1
-            events.append((node, p.phase, p.flip_angle))
+            events[node] = (p.phase, p.flip_angle)
             sep_needed = False
-            continue
-        offsets = [0.0] + seg_splits + [seg.duration]
-        for k in range(len(offsets) - 1):
-            lo, hi = offsets[k], offsets[k + 1]
-            dur = hi - lo
-            if dur <= 0:
-                continue
-            if sep_needed:
-                runs.append((zero,) * 5)
-                node += 1
-            n = 2 * max(1, round(dur / (2 * h)))
-            hs = dur / n
-            if seg.kind == "delay":
-                still = np.zeros(n)
-                runs.append((np.full(n, hs), still, still, still, still))
-            else:
-                p = seg.pulse
-                t0 = lo + np.arange(n) * hs
-                axis = complex(math.cos(p.phase), math.sin(p.phase))
-                w1i, w1q = envelope_amplitude(p.shape, p.flip_angle, seg.duration, t0 + g1 * hs)
-                w2i, w2q = envelope_amplitude(p.shape, p.flip_angle, seg.duration, t0 + g2 * hs)
-                runs.append((np.full(n, hs), *_kernels.cf4_steps(
-                    (w1i + 1j * w1q) * axis, (w2i + 1j * w2q) * axis, hs)))
-            pieces.append((node, node + n))
-            node += n
-            sep_needed = True
+        if i == len(cut):
+            break
+        start, seg = cut[i][0]
+        # offsets into the segment; its own edges are exactly 0 and its duration
+        lo = edges[i] - start if i and cut[i - 1][0][0] == start else 0.0
+        last = i + 1 == len(cut) or cut[i + 1][0][0] != start
+        hi = seg.duration if last else edges[i + 1] - start
+        dur = hi - lo
+        if sep_needed:
+            runs.append((zero,) * 5)
+            node += 1
+        n = 2 * max(1, round(dur / (2 * h)))
+        hs = dur / n
+        if seg.kind == "delay":
+            still = np.zeros(n)
+            runs.append((np.full(n, hs), still, still, still, still))
+        else:
+            p = seg.pulse
+            t0 = lo + np.arange(n) * hs
+            axis = complex(math.cos(p.phase), math.sin(p.phase))
+            w1i, w1q = envelope_amplitude(p.shape, p.flip_angle, seg.duration, t0 + g1 * hs)
+            w2i, w2q = envelope_amplitude(p.shape, p.flip_angle, seg.duration, t0 + g2 * hs)
+            runs.append((np.full(n, hs), *_kernels.cf4_steps(
+                (w1i + 1j * w1q) * axis, (w2i + 1j * w2q) * axis, hs)))
+        pieces.append((node, node + n))
+        node += n
+        sep_needed = True
 
     dt, cx, cy, dx, dy = (np.concatenate(col) for col in zip(*runs))
-    return _StepPlan(dt, cx, cy, dx, dy, pieces, events, total, samples_per_pulse)
+    grid = TimeGrid(np.concatenate(([0.0], np.cumsum(dt))), tuple(pieces), sequence.duration)
+    return grid, (cx, cy, dx, dy), events
 
 
 # ---------------------------------------------------------------------------
 # Propagation and traces
 # ---------------------------------------------------------------------------
 
-def propagate(sequence, samples_per_pulse=256, extra_breakpoints=(), unitarity_tol=1e-10,
-              reference_duration=None):
+def propagate(sequence, samples_per_pulse=256, partners=(), unitarity_tol=1e-10):
     """Control unitaries U_C(t_i) at every grid node.
 
     Returns (TimeGrid, U) with U of shape (n_nodes, 2, 2).  Raises
     IntegrationError if any node's unitarity defect exceeds ``unitarity_tol``
     or is NaN.
-    ``reference_duration`` overrides the segment the step size is derived
-    from (h = reference / samples_per_pulse); traces meant to share a grid
-    must share it.
+    ``partners`` are the other sequences on the same grid: the cut is taken
+    at every segment edge of the sequence and its partners, and the step
+    size from all of them (h = reference / samples_per_pulse).  Traces meant
+    to share a grid must pass each other as partners.  Partners of another
+    duration raise ValueError.
     """
-    plan = _plan_sequence(sequence, samples_per_pulse, extra_breakpoints,
-                          reference_duration)
-    n = plan.dt.shape[0]
-    out = np.empty((n + 1, 2, 2), dtype=np.complex128)
+    grid, coeffs, _ = _plan_sequence(sequence, samples_per_pulse, partners)
+    out = np.empty((len(grid.times), 2, 2), dtype=np.complex128)
     out[0] = np.eye(2)
-    _kernels.su2_chain(plan.cx, plan.cy, plan.dx, plan.dy, out)
+    _kernels.su2_chain(*coeffs, out)
     # U^dag U = |q|^2 I for every node, read off the first column
     col = out[:, :, 0]
     defect = np.abs((col.real ** 2 + col.imag ** 2).sum(axis=1) - 1.0).max()
     if not defect <= unitarity_tol:  # written so that a NaN node also fails
         raise IntegrationError(f"unitarity defect {defect:.3e} exceeds {unitarity_tol:.1e}")
-    return plan.grid(), out
+    return grid, out
 
 
 def _adjoint_from_unitaries(U):
@@ -227,7 +199,7 @@ def _adjoint_from_unitaries(U):
                     axis=-1).reshape(-1, 3, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlTrace:
     """Time-gridded 3x3 control matrix R[mu, alpha](t_i) for one sequence."""
 
@@ -267,10 +239,8 @@ class ControlTrace:
                 fh.write(",".join(row) + "\n")
 
 
-def control_trace(sequence, samples_per_pulse=256, extra_breakpoints=(),
-                  reference_duration=None):
-    grid, U = propagate(sequence, samples_per_pulse, extra_breakpoints,
-                        reference_duration=reference_duration)
+def control_trace(sequence, samples_per_pulse=256, partners=()):
+    grid, U = propagate(sequence, samples_per_pulse, partners)
     R = _adjoint_from_unitaries(U)
     return ControlTrace(grid, R)
 
@@ -289,8 +259,7 @@ def _axis_rotation_adjoint(phase, angle):
     return np.eye(3) + math.sin(th) * K + (1 - math.cos(th)) * (K @ K)
 
 
-def bang_bang_trace(sequence, samples_per_pulse=256, extra_breakpoints=(),
-                    reference_duration=None):
+def bang_bang_trace(sequence, samples_per_pulse=256, partners=()):
     """Piecewise-constant toggling-frame trace for ideal-pulse sequences.
 
     Composes exact SO(3) Pauli-axis rotations directly (independent of the
@@ -300,12 +269,10 @@ def bang_bang_trace(sequence, samples_per_pulse=256, extra_breakpoints=(),
     for s in sequence.segments:
         if s.kind == "pulse" and not s.pulse.shape.is_ideal:
             raise ValueError("bang_bang_trace requires all pulses ideal")
-    plan = _plan_sequence(sequence, samples_per_pulse, extra_breakpoints,
-                          reference_duration)
-    n_nodes = plan.dt.shape[0] + 1
+    grid, _, events = _plan_sequence(sequence, samples_per_pulse, partners)
+    n_nodes = len(grid.times)
     R = np.empty((n_nodes, 3, 3))
     frame = np.eye(3)
-    events = {idx: (phase, angle) for idx, phase, angle in plan.events}
     R[0] = frame
     for i in range(1, n_nodes):
         if i in events:
@@ -316,14 +283,14 @@ def bang_bang_trace(sequence, samples_per_pulse=256, extra_breakpoints=(),
                 rot = _axis_rotation_adjoint(phase, angle)
             frame = rot @ frame
         R[i] = frame
-    return ControlTrace(plan.grid(), R)
+    return ControlTrace(grid, R)
 
 
 # ---------------------------------------------------------------------------
 # Error-matrix integrals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorMatrix:
     """3x3 first-order error integral; entries in seconds."""
 
@@ -383,16 +350,11 @@ def chi2(trace_r, trace_b):
 
 
 def paired_traces(schedule, samples_per_pulse=256, ideal=False):
-    """Red/blue traces of a schedule on a shared grid: union of both
-    sequences' boundaries and a common step size."""
-    extra = sorted(set(schedule.red.boundaries()) | set(schedule.blue.boundaries()))
-    ref = max(_reference_duration(schedule.red.segments),
-              _reference_duration(schedule.blue.segments))
+    """Red/blue traces of a schedule on a shared grid: each color is cut and
+    stepped with the other as its partner."""
     maker = bang_bang_trace if ideal else control_trace
-    tr = maker(schedule.red, samples_per_pulse, extra_breakpoints=extra,
-               reference_duration=ref)
-    tb = maker(schedule.blue, samples_per_pulse, extra_breakpoints=extra,
-               reference_duration=ref)
+    tr = maker(schedule.red, samples_per_pulse, (schedule.blue,))
+    tb = maker(schedule.blue, samples_per_pulse, (schedule.red,))
     return tr, tb
 
 

@@ -197,14 +197,6 @@ class Sequence:
             t += s.duration
         return out
 
-    def boundaries(self):
-        """Cumulative segment boundary times, including 0 and the cycle end."""
-        t, out = 0.0, [0.0]
-        for s in self.segments:
-            t += s.duration
-            out.append(t)
-        return out
-
     def repeated(self, times):
         if times < 1:
             raise ValueError("repetition count must be >= 1")
@@ -212,22 +204,26 @@ class Sequence:
         return Sequence(self.segments * times, name=name)
 
     def to_dict(self):
-        slots = []
+        """JSON form: one shape for every pulse, flip angles pi.  Raises
+        ValueError for a sequence that form cannot hold."""
+        slots, shapes = [], set()
         for s in self.segments:
             if s.kind == "pulse":
+                if s.pulse.flip_angle != math.pi:
+                    raise ValueError(
+                        f"flip angle {s.pulse.flip_angle} cannot be stored; the JSON form "
+                        "holds pi pulses only")
+                shapes.add(s.pulse.shape)
                 slots.append({"kind": "pulse", "duration_s": s.duration,
                               "phase_rad": s.pulse.phase})
             else:
                 slots.append({"kind": "delay", "duration_s": s.duration})
-        shape = None
-        for s in self.segments:
-            if s.kind == "pulse":
-                shape = s.pulse.shape
-                break
+        if len(shapes) > 1:
+            raise ValueError("mixed pulse shapes cannot be stored; the JSON form holds one shape")
         return {
             "name": self.name,
             "tau_p_s": self.pulse_duration,
-            "shape": (shape or PulseShape.square()).to_dict(),
+            "shape": (shapes.pop() if shapes else PulseShape.square()).to_dict(),
             "slots": slots,
         }
 
@@ -288,11 +284,60 @@ class ColoredSchedule:
         return cls.from_dict(json.loads(text))
 
 
-def _reference_duration(segments):
+def _common_cut(sequences):
+    """Cut equal-duration sequences at the union of their segment edges.
+
+    Returns ``(edges, pieces, events)``.  ``edges`` are the cut times from 0
+    to the common duration; edges closer than 1e-12 times the duration merge
+    into the earliest.  ``pieces[i]`` holds, per sequence, the
+    ``(start, segment)`` of its segment covering ``[edges[i], edges[i + 1]]``.
+    ``events`` maps an edge index to the zero-duration pulses at that edge, as
+    ``(sequence index, PulseSpec)`` in sequence order.  Raises ValueError when
+    the durations differ.
+    """
+    duration = sequences[0].duration
+    if any(s.duration != duration for s in sequences):
+        raise ValueError(f"sequence durations differ: {sorted({s.duration for s in sequences})}")
+    tol = 1e-12 * duration
+    spans, instants, cuts = [], [], {0.0, duration}
+    for q, seq in enumerate(sequences):
+        own, t = [], 0.0
+        for s in seq.segments:
+            if s.duration > 0:
+                end = t + s.duration
+                own.append((t, end, s))
+                cuts.update((t, end))
+                t = end
+            elif s.kind == "pulse":
+                instants.append((t, q, s.pulse))
+                cuts.add(t)
+        spans.append(own)
+    edges, merged_into = [], {}
+    for c in sorted(cuts):
+        if not edges or c - edges[-1] > tol:
+            edges.append(c)
+        merged_into[c] = len(edges) - 1
+    events = {}
+    for t, q, pulse in instants:
+        events.setdefault(merged_into[t], []).append((q, pulse))
+    # one pointer per sequence: its first span that reaches the piece's end
+    pieces, at = [], [0] * len(spans)
+    for hi in edges[1:]:
+        row = []
+        for q, own in enumerate(spans):
+            while own[at[q]][1] + tol < hi:
+                at[q] += 1
+            start, _, seg = own[at[q]]
+            row.append((start, seg))
+        pieces.append(tuple(row))
+    return edges, pieces, events
+
+
+def _reference_duration(sequences):
     """Duration that sets the integration step (``h = reference /
-    samples_per_pulse``): the longest bounded pulse, else the shortest
-    positive segment."""
-    segments = tuple(segments)
+    samples_per_pulse``) of sequences cut together: their longest bounded
+    pulse, else their shortest positive segment."""
+    segments = [s for seq in sequences for s in seq.segments]
     bounded = [s.duration for s in segments if s.kind == "pulse" and s.duration > 0]
     if bounded:
         return max(bounded)

@@ -32,7 +32,8 @@ import numpy as np
 from . import _kernels
 from ._kernels import IntegrationError
 from .sequences import (
-    QubitGraph, Segment, Sequence, _reference_duration, envelope_amplitude, two_color,
+    QubitGraph, Segment, Sequence, _common_cut, _reference_duration, envelope_amplitude,
+    two_color,
 )
 
 __all__ = [
@@ -64,7 +65,7 @@ class CapacityError(ValueError):
 # Device
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeviceModel:
     """Static error model on a qubit graph.
 
@@ -277,23 +278,7 @@ def _normalize_schedules(device, schedules):
     schedules = list(schedules)
     if len(schedules) != device.n:
         raise ValueError(f"need one schedule per qubit ({device.n}), got {len(schedules)}")
-    durs = {s.duration for s in schedules}
-    if len(durs) != 1:
-        raise ValueError(f"schedule durations differ across qubits: {sorted(durs)}")
     return schedules
-
-
-def _segment_table(seq):
-    """(start, end, segment) for positive segments; events for zero-duration pulses."""
-    spans, events = [], []
-    t = 0.0
-    for s in seq.segments:
-        if s.kind == "pulse" and s.duration == 0.0:
-            events.append((t, s.pulse))
-        elif s.duration > 0:
-            spans.append((t, t + s.duration, s))
-            t += s.duration
-    return spans, events
 
 
 # RK4 step-angle cap: keeps |lambda_max| * h small enough that the per-step
@@ -326,43 +311,12 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
     _check_capacity(n)
     if samples_per_pulse < 16:
         raise ValueError("samples_per_pulse must be >= 16")
-    tables = [_segment_table(s) for s in schedules]
-    duration = schedules[0].duration
+    edges, pieces, events = _common_cut(schedules)
     diag_bound = float(np.abs(diag).max())
     transverse = np.any(device.b[:, :2] != 0.0, axis=1)
 
-    h_target = _reference_duration(sg for s in schedules for sg in s.segments) / samples_per_pulse
-
-    tol = 1e-12 * duration
-    cuts = {0.0, duration}
-    for spans, events in tables:
-        for (a, b_, _) in spans:
-            cuts.add(a)
-            cuts.add(b_)
-        for (t, _) in events:
-            cuts.add(t)
-    cuts = sorted(cuts)
-    merged = [cuts[0]]
-    for c in cuts[1:]:
-        if c - merged[-1] > tol:
-            merged.append(c)
-
-    event_map = {}
-    for q, (_, events) in enumerate(tables):
-        for order, (t, pulse) in enumerate(events):
-            key = min(range(len(merged)), key=lambda i: abs(merged[i] - t))
-            event_map.setdefault(key, []).append((q, order, pulse))
-
-    def covering(lo, hi):
-        """(start, segment) of each qubit's segment spanning [lo, hi]."""
-        segs = []
-        for spans, _ in tables:
-            seg = next(((a, s) for (a, b_, s) in spans if a - tol <= lo and hi <= b_ + tol),
-                       None)
-            if seg is None:
-                raise RuntimeError("interval not covered by a single segment")
-            segs.append(seg)
-        return segs
+    h_target = _reference_duration(schedules) / samples_per_pulse
+    tol = 1e-12 * schedules[0].duration  # key grid: the cut's merge tolerance
 
     def drive(segs, times, phased=True):
         """Rates ``ax, ay`` of shape ``times.shape + (n,)``; with ``phased``
@@ -403,15 +357,12 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
 
     keyed = {}
     spans_out = []
-    for i in range(len(merged)):
-        if i in event_map:
-            rots = [(q, p.phase, p.flip_angle)
-                    for q, _, p in sorted(event_map[i], key=lambda x: (x[0], x[1]))]
-            spans_out.append(("rot", rots))
-        if i == len(merged) - 1:
+    for i, lo in enumerate(edges):
+        if i in events:
+            spans_out.append(("rot", [(q, p.phase, p.flip_angle) for q, p in events[i]]))
+        if i == len(pieces):
             break
-        lo, hi = merged[i], merged[i + 1]
-        segs = covering(lo, hi)
+        hi, segs = edges[i + 1], pieces[i]
         if all(s.kind == "delay" or s.pulse.shape.kind == "square" for _, s in segs):
             ax, ay = drive(segs, np.array(lo))
             spans_out.append(("exact", hi - lo, ax, ay))

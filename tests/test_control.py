@@ -107,7 +107,7 @@ class TestControlTrace:
         # nodes 0..8 with duplicates after nodes 2, 4 and 6; the trace is
         # continuous across the first two and jumps at the last one
         t = np.array([0.0, 1.0, 2.0, 2.0, 3.0, 4.0, 4.0, 5.0, 6.0, 6.0, 7.0, 8.0])
-        grid = TimeGrid(t, ((0, 2), (3, 5), (6, 8), (9, 11)), 16, 8.0)
+        grid = TimeGrid(t, ((0, 2), (3, 5), (6, 8), (9, 11)), 8.0)
         R = np.repeat(np.eye(3)[None], len(t), axis=0)
         assert np.array_equal(ControlTrace(grid, R).uniform_view()[0], np.arange(9.0))
         R[9:] = np.diag([1.0, -1.0, -1.0])
@@ -144,6 +144,47 @@ class TestControlTrace:
         t, r = tr.uniform_view()
         theta = PI * t  # constant-rate square pulse
         assert np.abs(r[:, 2, 2] - np.cos(theta)).max() < 1e-10
+
+
+class TestPartners:
+    @pytest.mark.parametrize("shape, k, mode", [(SQUARE, 1, "symmetric"),
+                                                (DRAG, 2, "asymmetric"),
+                                                (IDEAL, 2, "asymmetric")])
+    def test_piece_edges_are_the_union_of_both_colors_edges(self, shape, k, mode):
+        sched = cr_dd("XY4", tau_p=1.0, shape=shape, k=k, mode=mode)
+        edges = set()
+        for seq in (sched.red, sched.blue):
+            t = 0.0
+            for seg in seq.segments:
+                t += seg.duration
+                edges.add(t)
+        for trace in paired_traces(sched, 32, ideal=shape.is_ideal):
+            times, pieces = trace.grid.times, trace.grid.pieces
+            got = [times[i0] for i0, _ in pieces] + [times[pieces[-1][1]]]
+            assert np.allclose(got, sorted(edges | {0.0}), rtol=0.0, atol=1e-12)
+
+    def test_partner_of_another_duration_refused(self):
+        seq = sim_dd("XY4", 2, 1.0, SQUARE)
+        with pytest.raises(ValueError, match="durations differ"):
+            control_trace(seq, 32, partners=(sim_dd("XY4", 3, 1.0, SQUARE),))
+
+    def test_ideal_pulses_at_cycle_start_and_end(self):
+        x = Segment.for_pulse(0.0, 0.0, IDEAL)
+        seq = Sequence((x, Segment.delay(1.0), x, Segment.delay(1.0), x))
+        tr = bang_bang_trace(seq, 32)
+        flip = np.diag([1.0, -1.0, -1.0])
+        assert np.allclose(tr.R[0], np.eye(3))
+        assert np.allclose(tr.R[1], flip)
+        assert np.allclose(tr.R[-2], np.eye(3))
+        assert np.allclose(tr.R[-1], flip)
+        assert np.allclose(control_trace(seq, 32).R, tr.R, atol=1e-12)
+
+    def test_traces_and_error_matrices_compare_by_identity(self):
+        tr = control_trace(sim_dd("XY4", 2, 1.0, SQUARE), 32)
+        assert tr == tr and tr != control_trace(sim_dd("XY4", 2, 1.0, SQUARE), 32)
+        c = chi1(tr)
+        assert c == c and c != chi1(tr)
+        assert len({tr, c}) == 2
 
 
 class TestChi1:
@@ -274,9 +315,8 @@ class TestBangBang:
         tau_d = 1.0
         asym = ideal_xy4(tau_d)
         sym = ideal_xy4(tau_d, symmetric=True)
-        extra = sorted(set(asym.boundaries()) | set(sym.boundaries()))
-        tr = bang_bang_trace(asym, 32, extra_breakpoints=extra, reference_duration=0.5)
-        tb = bang_bang_trace(sym, 32, extra_breakpoints=extra, reference_duration=0.5)
+        tr = bang_bang_trace(asym, 32, partners=(sym,))
+        tb = bang_bang_trace(sym, 32, partners=(asym,))
         c = chi2(tr, tb)
         assert abs(c.entry("Z", "Z")) <= 1e-12 * tr.duration
 

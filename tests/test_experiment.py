@@ -263,6 +263,11 @@ class TestPlanJson:
         again = ExperimentPlan.from_dict(plan.to_dict())
         assert again.to_dict() == plan.to_dict()
 
+    def test_comparison_returns_a_bool(self):
+        plan = default_plan()
+        assert plan == plan
+        assert isinstance(plan == ExperimentPlan.from_dict(plan.to_dict()), bool)
+
     def test_validates_embeddings(self):
         dev = DeviceModel.default(n=2)
         with pytest.raises(ValueError):

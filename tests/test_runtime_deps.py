@@ -1,4 +1,6 @@
+import functools
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -28,3 +30,21 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(f"crdd.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_benchmark_wrap_targets_resolve():
+    # the benchmark wraps crdd attributes by name (dotted for class
+    # attributes); a wrapped target that is renamed or removed silently drops
+    # its metrics, so every one must still resolve to a callable
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", os.path.join(root, "perfbench", "layers.py"))
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = []
+    for module, attr, _, _ in layers.WRAPS:
+        target = functools.reduce(lambda obj, part: getattr(obj, part, None),
+                                  attr.split("."), importlib.import_module(module))
+        if not callable(target):
+            missing.append(f"{module}.{attr}")
+    assert layers.WRAPS and missing == []

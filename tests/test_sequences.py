@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from crdd.sequences import (
     CatalogError, ColoredSchedule, NotBipartiteError, PulseShape, PulseSpec, QubitGraph,
     SEQUENCE_CATALOG, Segment, Sequence, build_named, cr_dd, cr_variant,
-    _calibrate_drag, envelope_amplitude, named_phases, pad, sim_dd, sim_variant, two_color,
+    _calibrate_drag, _common_cut, envelope_amplitude, named_phases, pad, sim_dd, sim_variant, two_color,
 )
 
 PI = math.pi
@@ -310,6 +310,19 @@ class TestJson:
         assert [s["kind"] for s in doc["slots"]] == ["pulse"] * 4
         assert all("phase_rad" in s for s in doc["slots"])
 
+    def test_refuses_flip_angle_it_cannot_hold(self):
+        # the JSON form has no flip angle; a pi/2 pulse would read back as pi
+        seq = Sequence((Segment.delay(1.0), Segment.for_pulse(0.0, 1.0, SQUARE, PI / 2)))
+        with pytest.raises(ValueError, match="flip angle"):
+            seq.to_json()
+
+    def test_refuses_mixed_shapes(self):
+        # the JSON form has one shape; a gaussian pulse would read back as square
+        seq = Sequence((Segment.for_pulse(0.0, 1.0, SQUARE),
+                        Segment.for_pulse(PI / 2, 1.0, PulseShape.gaussian())))
+        with pytest.raises(ValueError, match="mixed pulse shapes"):
+            seq.to_dict()
+
     def test_graph_roundtrip(self):
         g = two_color(QubitGraph(4, ((0, 1), (1, 2), (2, 3))))
         again = QubitGraph.from_json(g.to_json())
@@ -340,3 +353,46 @@ class TestSegmentValidation:
     def test_sequence_needs_positive_duration(self):
         with pytest.raises(ValueError):
             Sequence((Segment.delay(0.0),))
+
+
+def seq_of(*segments):
+    return Sequence(tuple(segments))
+
+
+class TestCommonCut:
+    def test_edges_are_the_union_of_segment_edges(self):
+        pulse = Segment.for_pulse(0.0, 2.0, SQUARE)
+        a = seq_of(Segment.delay(1.0), pulse, Segment.delay(1.0))
+        b = seq_of(Segment.for_pulse(0.0, 1.5, SQUARE), Segment.delay(2.5))
+        edges, pieces, events = _common_cut((a, b))
+        assert edges == [0.0, 1.0, 1.5, 3.0, 4.0]
+        assert events == {}
+        assert [row[0] for row in pieces] == [
+            (0.0, a.segments[0]), (1.0, pulse), (1.0, pulse), (3.0, a.segments[2])]
+        assert [row[1][0] for row in pieces] == [0.0, 0.0, 1.5, 1.5]
+
+    def test_edges_within_tolerance_merge_into_the_earliest(self):
+        # tolerance 1e-12 * 2.0; 2**-44 ~ 5.7e-14 merges, 2**-38 ~ 3.6e-12 does not
+        a = seq_of(Segment.delay(1.0), Segment.delay(1.0))
+        for gap, expected in ((2.0 ** -44, [0.0, 1.0, 2.0]),
+                              (2.0 ** -38, [0.0, 1.0, 1.0 + 2.0 ** -38, 2.0])):
+            b = seq_of(Segment.delay(1.0 + gap), Segment.delay(1.0 - gap))
+            edges, pieces, _ = _common_cut((a, b))
+            assert edges == expected
+            assert len(pieces) == len(edges) - 1
+
+    def test_unequal_durations_refused(self):
+        short, long_ = seq_of(Segment.delay(1.0)), seq_of(Segment.delay(2.0))
+        with pytest.raises(ValueError, match="durations differ"):
+            _common_cut((short, long_))
+
+    def test_ideal_pulses_at_start_interior_edges_and_end(self):
+        ideal = PulseShape.ideal()
+        x, y = (Segment.for_pulse(ph, 0.0, ideal) for ph in (0.0, PI / 2))
+        a = seq_of(x, Segment.delay(1.0), y, Segment.delay(1.0), x)
+        b = seq_of(y, Segment.delay(0.5), y, x, Segment.delay(1.5))
+        edges, _, events = _common_cut((a, b))
+        assert edges == [0.0, 0.5, 1.0, 2.0]
+        # in sequence order, and in segment order within a sequence
+        assert events == {0: [(0, x.pulse), (1, y.pulse)], 1: [(1, y.pulse), (1, x.pulse)],
+                          2: [(0, y.pulse)], 3: [(0, x.pulse)]}

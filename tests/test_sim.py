@@ -117,8 +117,13 @@ class TestEvolveOracles:
 
     def test_duration_mismatch(self):
         dev = two_qubit_device(0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="durations differ"):
             evolve(dev, [idle_schedule(1.0), idle_schedule(2.0)])
+
+    def test_device_compares_by_identity_and_hashes(self):
+        a, b = DeviceModel.default(), DeviceModel.default()
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
     def test_norm_preserved_long_run(self):
         dev = two_qubit_device(5e-3)

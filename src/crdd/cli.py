@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import control, experiment, report
+from . import control, report
 from .sequences import ColoredSchedule, PulseShape, Sequence, cr_dd, build_named, pad
 from .experiment import (ExperimentPlan, default_plan, fit_dataset, read_fits_csv,
                          read_results_csv, run_experiment, summarize,
@@ -143,7 +143,11 @@ def _cmd_seq_pad(rest):
     args = p.parse_args(rest)
     with open(args.schedule) as fh:
         sched = ColoredSchedule.from_dict(json.load(fh))
-    tau_d = args.tau_d if args.tau_d is not None else (args.k - 1) * sched.red.pulse_duration
+    # tau_p is the stagger delay opening an unpadded red slot (an ideal pulse
+    # lasts 0, so its pulse duration cannot stand in)
+    tau_d = args.tau_d
+    if tau_d is None:
+        tau_d = (args.k - 1) * sched.red.segments[0].duration
     padded = pad(sched, tau_d, args.mode)
     _write_text(args.out, padded.to_json(indent=2) + "\n", args.force)
     print(f"wrote {args.out}: cycle {padded.duration:.6g} s")
@@ -270,16 +274,10 @@ def _cmd_summarize(rest):
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     args = p.parse_args(rest)
-    fits = read_fits_csv(args.fits)
-    sizes = {len(f.embedding_id.split("-")) for f in fits}
-    tables = []
-    for n in sorted(sizes):
-        subset = [f for f in fits if len(f.embedding_id.split("-")) == n]
-        tables.append(summarize(subset, n))
-    rows = tuple(r for t in tables for r in t.rows)
+    table = summarize(read_fits_csv(args.fits))
     _guard_output(args.out, args.force)
-    experiment.SummaryTable(rows).to_csv(args.out)
-    print(f"wrote {args.out}: {len(rows)} rows")
+    table.to_csv(args.out)
+    print(f"wrote {args.out}: {len(table.rows)} rows")
     return 0
 
 

@@ -27,6 +27,7 @@ piece).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,14 +118,21 @@ def _plan_sequence(sequence, samples_per_pulse, partners=()):
     zero = np.zeros(1)
 
     for i in range(len(edges)):
-        for q, p in instants.get(i, ()):
-            if q:  # a partner's instantaneous pulse only cuts the grid
-                continue
+        here = instants.get(i, ())
+        own = [p for q, p in here if q == 0]
+        # every sequence of the cut gets as many nodes here as the one with the
+        # most instantaneous pulses, so their pieces keep the same node spans
+        width = max(Counter(q for q, _ in here).values(), default=0)
+        for p in own:
             # instantaneous rotation: one zero-duration step, no piece
             runs.append((zero, np.array([p.flip_angle * math.cos(p.phase)]),
                          np.array([p.flip_angle * math.sin(p.phase)]), zero, zero))
             node += 1
             events[node] = (p.phase, p.flip_angle)
+        for _ in range(width - len(own)):  # exact copies of the current node
+            runs.append((zero,) * 5)
+            node += 1
+        if width:
             sep_needed = False
         if i == len(cut):
             break

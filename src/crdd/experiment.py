@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fitting import fit_decay
-from .sequences import PulseShape, canonical_name, cr_dd, named_phases, sim_dd
+from .sequences import PulseShape, canonical_name, cr_dd, sim_dd
 from .sim import (POLES, DeviceModel, SurvivalPoint, SurvivalRecord, decode_probabilities,
                   idle_schedule, cycle_propagator, prepare_states, product_state,
                   sample_survival, shot_rng)
@@ -55,21 +55,6 @@ class MethodSpec:
     bases: tuple = ()
     k: int = 1
     pad_mode: str = "symmetric"
-
-    @property
-    def pulses_per_cycle(self):
-        if self.kind == "idle":
-            return 0
-        lengths = [len(named_phases(b)) for b in self.bases]
-        return math.lcm(*lengths)
-
-    def cycle_duration(self, tau_p):
-        L = self.pulses_per_cycle
-        if self.kind == "sim":
-            return self.k * L * tau_p
-        if self.kind == "cr":
-            return 2 * self.k * L * tau_p
-        raise ValueError("IDLE has no intrinsic cycle duration")
 
     def base_name(self):
         if self.kind == "idle":
@@ -119,7 +104,7 @@ def parse_method(label):
 def schedule_points(methods, target_pulses, spacing="linear", max_points=16):
     """Per-method duration lists (cycles, duration_s, pulses).
 
-    ``methods`` maps labels to (pulses_per_cycle, cycle_duration_s); IDLE-like
+    ``methods`` maps labels to (pulses per cycle, cycle duration in s); IDLE-like
     entries with zero pulses receive the union of the active methods' wall
     times.  Active methods share identical pulse counts at every point.
     """
@@ -150,7 +135,12 @@ def schedule_points(methods, target_pulses, spacing="linear", max_points=16):
             cycles = pc // ppc
             pts.append((cycles, cycles * tau_cycle, pc))
         out[label] = pts
-    idle_durations = sorted({d for pts in out.values() for (_, d, _) in pts})
+    idle_durations = []
+    for d in sorted({d for pts in out.values() for (_, d, _) in pts}):
+        # wall times of different cycles that meet within 1e-12 relative
+        # (the cut's tolerance) are one duration, kept at the earliest
+        if not idle_durations or d - idle_durations[-1] > 1e-12 * d:
+            idle_durations.append(d)
     for label, (ppc, _) in methods.items():
         if ppc == 0:
             out[label] = [(1, d, 0) for d in idle_durations]
@@ -297,12 +287,14 @@ def run_experiment(plan, out_path=None):
     Writes the results CSV incrementally when ``out_path`` is given."""
     device = plan.device.colored()
     specs = [parse_method(m) for m in plan.methods]
-    tau_p = device.tau_p
-    points = schedule_points(
-        {s.label: ((s.pulses_per_cycle,
-                    s.cycle_duration(tau_p) if s.kind != "idle" else 0.0))
-         for s in specs},
-        plan.target_pulses, plan.spacing, plan.max_points)
+    timing = {}
+    for s in specs:
+        if s.kind == "idle":
+            timing[s.label] = (0, 0.0)
+        else:
+            cycle = s.build(device.tau_p, plan.shape, coloring=device.graph.coloring)(1)[0]
+            timing[s.label] = (cycle.pulse_count, cycle.duration)
+    points = schedule_points(timing, plan.target_pulses, plan.spacing, plan.max_points)
 
     records, failures = [], []
     fh = open(out_path, "w", newline="") if out_path else None
@@ -496,43 +488,35 @@ def _median_iqr(values):
     return med, iqr
 
 
-def summarize(fits, n):
+def summarize(fits):
     """Median and IQR of tau_gamma over embeddings per method, with SIM/IDLE
-    and CR/SIM ratio columns.  When several IDLE datasets exist the better
-    (larger) median is used."""
-    idle_meds = []
-    per_base = {}
+    and CR/SIM ratio columns, in one block of rows per embedding size n (the
+    vertex count of each fit's ``embedding_id``), smallest first.  When
+    several IDLE datasets exist the better (larger) median is used."""
+    by_size = {}
     for f in fits:
-        spec = parse_method(f.method)
-        if spec.kind == "idle":
-            idle_meds.append(f)
-        else:
-            per_base.setdefault(spec.base_name(), {}).setdefault(spec.kind, []).append(f)
-
+        by_size.setdefault(len(f.embedding_id.split("-")), []).append(f)
     rows = []
-    idle_median = None
-    if idle_meds:
-        by_label = {}
-        for f in idle_meds:
-            by_label.setdefault(f.method, []).append(f.tau_gamma)
-        label_stats = {lbl: _median_iqr(v) for lbl, v in by_label.items()}
-        best = max(label_stats.values(), key=lambda s: s[0])
-        idle_median = best[0]
-        rows.append((n, "IDLE", best[0], best[1], None, None, None, None))
-
-    for base in sorted(per_base):
-        kinds = per_base[base]
-        sim_med = sim_iqr = cr_med = cr_iqr = None
-        if "sim" in kinds:
-            sim_med, sim_iqr = _median_iqr([f.tau_gamma for f in kinds["sim"]])
-        if "cr" in kinds:
-            cr_med, cr_iqr = _median_iqr([f.tau_gamma for f in kinds["cr"]])
-        sim_over_idle = (sim_med / idle_median
-                         if sim_med is not None and idle_median else None)
-        cr_over_sim = (cr_med / sim_med
-                       if cr_med is not None and sim_med else None)
-        rows.append((n, base, sim_med, sim_iqr, cr_med, cr_iqr,
-                     sim_over_idle, cr_over_sim))
+    for n in sorted(by_size):
+        idle, per_base = {}, {}
+        for f in by_size[n]:
+            spec = parse_method(f.method)
+            if spec.kind == "idle":
+                idle.setdefault(f.method, []).append(f.tau_gamma)
+            else:
+                per_base.setdefault(spec.base_name(), {}).setdefault(
+                    spec.kind, []).append(f.tau_gamma)
+        idle_median = None
+        if idle:
+            idle_median, idle_iqr = max(map(_median_iqr, idle.values()), key=lambda s: s[0])
+            rows.append((n, "IDLE", idle_median, idle_iqr, None, None, None, None))
+        for base in sorted(per_base):
+            kinds = per_base[base]
+            sim_med, sim_iqr = _median_iqr(kinds["sim"]) if "sim" in kinds else (None, None)
+            cr_med, cr_iqr = _median_iqr(kinds["cr"]) if "cr" in kinds else (None, None)
+            rows.append((n, base, sim_med, sim_iqr, cr_med, cr_iqr,
+                         sim_med / idle_median if sim_med is not None and idle_median else None,
+                         cr_med / sim_med if cr_med is not None and sim_med else None))
     return SummaryTable(tuple(rows))
 
 

@@ -171,7 +171,8 @@ class Sequence:
 
     @property
     def duration(self):
-        return float(sum(s.duration for s in self.segments))
+        # exactly rounded, so equal durations in any order sum equal
+        return math.fsum(s.duration for s in self.segments)
 
     @property
     def pulse_count(self):
@@ -587,22 +588,39 @@ def sim_dd(name, k, tau_p, shape):
     return seq
 
 
-def cr_variant(phases_r, phases_b, tau_p, shape, name=""):
-    """Staggered 2-color schedule: red slots (delay, pulse), blue slots
-    (pulse, delay); cross-color pulses never overlap."""
+def _stagger(phases_r, phases_b, tau_p, tau_d, mode, shape, name):
+    """Staggered 2-color schedule, one slot per phase pair.  A red slot runs
+    (lead, stagger delay tau_p, tau_d, pulse, trail) and a blue slot (lead,
+    pulse, tau_d, tau_p, trail), so cross-color pulses never overlap; lead and
+    trail are tau_d/2 each in symmetric mode, tau_d and 0 in asymmetric mode.
+    Zero delays are dropped."""
     if len(phases_r) != len(phases_b):
         raise ValueError(
             f"phase lists must have equal length: |red|={len(phases_r)}, "
             f"|blue|={len(phases_b)} (repeat the shorter sequence to match)")
     if len(phases_r) == 0:
         raise ValueError("empty phase lists")
+    lead, trail = (tau_d / 2, tau_d / 2) if mode == "symmetric" else (tau_d, 0.0)
     segs_r, segs_b = [], []
     for pr, pb in zip(phases_r, phases_b):
-        segs_r.extend(_slot([Segment.delay(tau_p), _pulse_seg(pr, tau_p, shape)]))
-        segs_b.extend(_slot([_pulse_seg(pb, tau_p, shape), Segment.delay(tau_p)]))
-    nm = name or "CR"
-    return ColoredSchedule(Sequence(tuple(segs_r), name=f"{nm}[red]"),
-                           Sequence(tuple(segs_b), name=f"{nm}[blue]"))
+        segs_r.extend(_slot([Segment.delay(lead), Segment.delay(tau_p), Segment.delay(tau_d),
+                             _pulse_seg(pr, tau_p, shape), Segment.delay(trail)]))
+        segs_b.extend(_slot([Segment.delay(lead), _pulse_seg(pb, tau_p, shape),
+                             Segment.delay(tau_d), Segment.delay(tau_p), Segment.delay(trail)]))
+    return ColoredSchedule(Sequence(tuple(segs_r), name=f"{name}[red]"),
+                           Sequence(tuple(segs_b), name=f"{name}[blue]"))
+
+
+def _pad_suffix(mode):
+    if mode not in ("symmetric", "asymmetric"):
+        raise ValueError(f"mode must be 'symmetric' or 'asymmetric', got {mode!r}")
+    return "S" if mode == "symmetric" else "A"
+
+
+def cr_variant(phases_r, phases_b, tau_p, shape, name=""):
+    """Staggered 2-color schedule: red slots (delay, pulse), blue slots
+    (pulse, delay); cross-color pulses never overlap."""
+    return _stagger(phases_r, phases_b, tau_p, 0.0, "symmetric", shape, name or "CR")
 
 
 def cr_dd(name_r, name_b=None, tau_p=None, shape=None, k=1, mode="symmetric"):
@@ -612,19 +630,20 @@ def cr_dd(name_r, name_b=None, tau_p=None, shape=None, k=1, mode="symmetric"):
     """
     if tau_p is None or shape is None:
         raise ValueError("tau_p and shape are required")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    suffix = _pad_suffix(mode)
     pr = named_phases(name_r)
     pb = named_phases(name_b) if name_b else pr
     lcm = math.lcm(len(pr), len(pb))
-    pr = pr * (lcm // len(pr))
-    pb = pb * (lcm // len(pb))
     if name_b:
         label = f"CR-({canonical_name(name_r)},{canonical_name(name_b)})"
     else:
         label = f"CR-{canonical_name(name_r)}"
-    sched = cr_variant(pr, pb, tau_p, shape, name=label)
     if k > 1:
-        sched = pad(sched, (k - 1) * tau_p, mode)
-    return sched
+        label = f"{label}-pad{suffix}"
+    return _stagger(pr * (lcm // len(pr)), pb * (lcm // len(pb)), tau_p, (k - 1) * tau_p,
+                    mode, shape, label)
 
 
 def _unpack_cr(schedule):
@@ -659,33 +678,14 @@ def pad(schedule, tau_d, mode):
     """Insert extra delay tau_d around each pulse, symmetrically or
     asymmetrically, preserving the stagger.  Cycle duration becomes
     2 L (tau_p + tau_d)."""
-    if mode not in ("symmetric", "asymmetric"):
-        raise ValueError(f"mode must be 'symmetric' or 'asymmetric', got {mode!r}")
+    suffix = _pad_suffix(mode)
     if tau_d < 0:
         raise ValueError("tau_d must be >= 0")
     if tau_d == 0:
         return schedule
     pr, pb, tau_p, shape = _unpack_cr(schedule)
-    segs_r, segs_b = [], []
-    half = tau_d / 2
-    for p_r, p_b in zip(pr, pb):
-        if mode == "symmetric":
-            segs_r.extend(_slot([Segment.delay(half), Segment.delay(tau_p),
-                                 Segment.delay(tau_d), _pulse_seg(p_r, tau_p, shape),
-                                 Segment.delay(half)]))
-            segs_b.extend(_slot([Segment.delay(half), _pulse_seg(p_b, tau_p, shape),
-                                 Segment.delay(tau_d), Segment.delay(tau_p),
-                                 Segment.delay(half)]))
-        else:
-            segs_r.extend(_slot([Segment.delay(tau_d), Segment.delay(tau_p),
-                                 Segment.delay(tau_d), _pulse_seg(p_r, tau_p, shape)]))
-            segs_b.extend(_slot([Segment.delay(tau_d), _pulse_seg(p_b, tau_p, shape),
-                                 Segment.delay(tau_d), Segment.delay(tau_p)]))
-    suffix = "S" if mode == "symmetric" else "A"
-    base_r = schedule.red.name.replace("[red]", "")
-    return ColoredSchedule(
-        Sequence(tuple(segs_r), name=f"{base_r}-pad{suffix}[red]"),
-        Sequence(tuple(segs_b), name=f"{base_r}-pad{suffix}[blue]"))
+    base = schedule.red.name.replace("[red]", "")
+    return _stagger(pr, pb, tau_p, tau_d, mode, shape, f"{base}-pad{suffix}")
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_criterion_6_simulated_3x_analog():
     result = run_experiment(plan)
     assert not result.failures, result.failures
     fits = fit_dataset(result.row_dicts())
-    table = summarize(fits, 4)
+    table = summarize(fits)
     ratio = table.ratio("XY4", "cr_over_sim")
     elapsed = time.time() - t0
     report(6, ratio >= 3.0 and elapsed <= 600,
@@ -198,7 +198,7 @@ def test_criterion_9_determinism(tmp_path):
         fits_path = tmp_path / f"fits_{tag}.csv"
         write_fits_csv(fits, fits_path)
         summary_path = tmp_path / f"summary_{tag}.csv"
-        summarize(fits, 4).to_csv(summary_path)
+        summarize(fits).to_csv(summary_path)
         outputs.append((results_path.read_bytes(), fits_path.read_bytes(),
                         summary_path.read_bytes()))
     ok = outputs[0] == outputs[1]

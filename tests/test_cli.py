@@ -4,6 +4,7 @@ import pytest
 
 from crdd.cli import main
 from crdd.experiment import ExperimentPlan, read_fits_csv
+from crdd.sequences import PulseShape, cr_dd
 from crdd.sim import DeviceModel
 
 
@@ -64,6 +65,18 @@ class TestSeqVerbs:
         red_total = sum(s["duration_s"] for s in doc["red"]["slots"])
         assert red_total == pytest.approx(16.0)
 
+    @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("shape", ["square", "ideal"])
+    def test_pad_k_matches_stagger_k(self, tmp_path, shape, mode):
+        # ideal pulses take no time; tau_d still comes from the stagger delay
+        base, padded = tmp_path / "base.json", tmp_path / "padded.json"
+        assert run("seq", "stagger", "--red", "xy4", "--tau-p", "5.69e-8", "--shape", shape,
+                   "--out", str(base)) == 0
+        assert run("seq", "pad", "--schedule", str(base), "--k", "3", "--mode", mode,
+                   "--out", str(padded)) == 0
+        direct = cr_dd("XY4", tau_p=5.69e-8, shape=PulseShape(shape), k=3, mode=mode)
+        assert json.loads(padded.read_text()) == direct.to_dict()
+
 
 class TestAnalyzeVerbs:
     def test_trace_roundtrip(self, tmp_path, sched_json):
@@ -95,6 +108,12 @@ class TestAnalyzeVerbs:
                    "--tol", "1e-8", "--out", str(out)) == 0
         assert "PASS" in capsys.readouterr().out
         assert out.exists()
+
+    def test_verify_ideal_stagger(self, tmp_path):
+        sched = tmp_path / "ideal.json"
+        assert run("seq", "stagger", "--red", "xy4", "--tau-p", "1.0", "--shape", "ideal",
+                   "--out", str(sched)) == 0
+        assert run("verify", "--schedule", str(sched), "--samples", "32") == 0
 
     def test_verify_rejects_non_finite_phase(self, tmp_path, seq_json, capsys):
         doc = json.loads(seq_json.read_text())

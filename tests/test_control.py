@@ -264,6 +264,18 @@ class TestVerify:
         assert kinds == {"one_local_red", "one_local_blue", "two_local"}
         assert len(rep.rows) == 27
 
+    @pytest.mark.parametrize("name", ["XY4", "EDD", "KDD", "UR10", "UR12", "RGA64c"])
+    def test_ideal_cr_numeric_matches_bang_bang(self, name):
+        # blue pulses at t = 0 and red at tau_c: instants the other color
+        # lacks must not shift its pieces
+        sched = cr_dd(name, tau_p=1.0, shape=IDEAL)
+        tr, tb = paired_traces(sched, 32)
+        assert tr.grid.pieces == tb.grid.pieces
+        numeric = chi2(tr, tb).values
+        bang = chi2(*paired_traces(sched, 32, ideal=True)).values
+        assert np.abs(numeric - bang).max() <= 1e-12 * sched.duration
+        assert len(verify_first_order(sched, 32).rows) == 27
+
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             verify_first_order(cr_dd("XY4", tau_p=1.0, shape=SQUARE), 64, tol=0.0)

@@ -7,7 +7,7 @@ from crdd.experiment import (
     parse_method, path_embeddings, read_fits_csv, read_results_csv, run_experiment,
     schedule_points, summarize, write_fits_csv, write_results_csv,
 )
-from crdd.sequences import QubitGraph, two_color
+from crdd.sequences import PulseShape, QubitGraph, two_color
 from crdd.sim import DeviceModel, SurvivalPoint, SurvivalRecord
 
 
@@ -22,6 +22,11 @@ def tiny_plan(**overrides):
     return ExperimentPlan(**kw)
 
 
+def built_cycle(spec, tau_p, shape=PulseShape.square()):
+    """First qubit's cycle of a method, as the experiment runs it."""
+    return spec.build(tau_p, shape, coloring=("R", "B"))(1)[0]
+
+
 class TestParseMethod:
     def test_idle(self):
         assert parse_method("IDLE").kind == "idle"
@@ -29,16 +34,17 @@ class TestParseMethod:
     def test_sim_with_padding(self):
         spec = parse_method("SIM-UR10-8")
         assert spec.kind == "sim" and spec.bases == ("UR10",) and spec.k == 8
-        assert spec.pulses_per_cycle == 10
-        assert spec.cycle_duration(36e-9) == pytest.approx(2.88e-6)
+        cycle = built_cycle(spec, 36e-9)
+        assert cycle.pulse_count == 10
+        assert cycle.duration == pytest.approx(2.88e-6)
 
     def test_sim_default_k(self):
         spec = parse_method("SIM-KDD")
-        assert spec.k == 1 and spec.pulses_per_cycle == 20
+        assert spec.k == 1 and built_cycle(spec, 1.0).pulse_count == 20
 
     def test_cr_homogeneous(self):
         spec = parse_method("CR-XY4")
-        assert spec.kind == "cr" and spec.cycle_duration(1.0) == 8.0
+        assert spec.kind == "cr" and built_cycle(spec, 1.0).duration == 8.0
 
     def test_cr_padded_modes(self):
         assert parse_method("CR-XY4-4S").pad_mode == "symmetric"
@@ -48,8 +54,9 @@ class TestParseMethod:
     def test_cr_heterogeneous(self):
         spec = parse_method("CR-(XY4,UR12)")
         assert spec.bases == ("XY4", "UR12")
-        assert spec.pulses_per_cycle == 12
-        assert spec.cycle_duration(1.0) == 24.0
+        cycle = built_cycle(spec, 1.0)
+        assert cycle.pulse_count == 12
+        assert cycle.duration == 24.0
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -59,9 +66,9 @@ class TestParseMethod:
 class TestSchedulePoints:
     def test_catalog_alignment_example(self):
         tau_p = 1.0
-        methods = {f"CR-{b}": (parse_method(f"CR-{b}").pulses_per_cycle,
-                               parse_method(f"CR-{b}").cycle_duration(tau_p))
-                   for b in ("XY4", "UR10", "KDD", "RGA64c")}
+        cycles = {f"CR-{b}": built_cycle(parse_method(f"CR-{b}"), tau_p)
+                  for b in ("XY4", "UR10", "KDD", "RGA64c")}
+        methods = {m: (c.pulse_count, c.duration) for m, c in cycles.items()}
         pts = schedule_points(methods, 320)
         for label, lst in pts.items():
             assert lst[-1][2] == 320  # pulses align at the lcm
@@ -90,6 +97,19 @@ class TestSchedulePoints:
         pts = schedule_points({"CR-XY4": (4, 8.0)}, 4 * 64, spacing="log2")
         cycles = [c for (c, _, _) in pts["CR-XY4"]]
         assert cycles == [1, 2, 4, 8, 16, 32, 64]
+
+    def test_idle_merges_wall_times_one_ulp_apart(self):
+        # 3 cycles of 8 tau_p and 1 cycle of 24 tau_p end 1 ulp apart
+        tau_p = 5.69e-8
+        methods = {"IDLE": (0, 0.0), "CR-XY4": (4, 8 * tau_p),
+                   "CR-(XY4,UR12)": (12, 24 * tau_p)}
+        pts = schedule_points(methods, 4 * 2 ** 13, spacing="log2")
+        walls = {d for m in ("CR-XY4", "CR-(XY4,UR12)") for (_, d, _) in pts[m]}
+        assert len(walls) == 14
+        idle = [d for (_, d, _) in pts["IDLE"]]
+        assert len(idle) == 13 and set(idle) <= walls
+        assert all(b - a > 1e-12 * b for a, b in zip(idle, idle[1:]))
+        assert all(min(abs(d - w) for w in idle) <= 1e-12 * d for d in walls)
 
     def test_impossible_alignment(self):
         with pytest.raises(AlignmentError) as exc:
@@ -136,6 +156,22 @@ class TestRunExperiment:
         assert lines[0] == "method,embedding_id,state_id,duration_s,pulses,shots,zeros,p0"
         assert len(lines) == 1 + len(res.rows())
 
+    def test_ideal_plan_durations_are_built_cycles(self):
+        # ideal pulses take no time, so a cycle lasts only its delays
+        plan = tiny_plan(methods=("IDLE", "SIM-XY4-2", "CR-XY4"), shape=PulseShape.ideal())
+        res = run_experiment(plan)
+        assert not res.failures
+        walls = set()
+        for label in ("SIM-XY4-2", "CR-XY4"):
+            cycle = built_cycle(parse_method(label), plan.device.tau_p, plan.shape)
+            assert cycle.duration == pytest.approx(4 * plan.device.tau_p)
+            for rec in (r for r in res.records if r.method == label):
+                for pt in rec.points:
+                    assert pt.duration_s == pt.pulses_applied // cycle.pulse_count * cycle.duration
+                    walls.add(pt.duration_s)
+        idle = {pt.duration_s for r in res.records if r.method == "IDLE" for pt in r.points}
+        assert idle == walls
+
     def test_failed_cells_are_logged_and_run_continues(self, monkeypatch):
         import crdd.experiment as exp
 
@@ -169,7 +205,7 @@ class TestFitsAndSummary:
         fits = [FitRow("SIM-XY4-2", "0-1", 1, 0.5, 0, 2.0, 0, "ok"),
                 FitRow("CR-XY4", "0-1", 1, 0.05, 0, 20.0, 0, "ok"),
                 FitRow("IDLE", "0-1", 1, 1.0, 0, 1.0, 0, "ok")]
-        table = summarize(fits, 2)
+        table = summarize(fits)
         row = [r for r in table.rows if r[1] == "XY4"][0]
         assert row[2] == 2.0 and row[3] == 0.0
         assert row[4] == 20.0
@@ -179,7 +215,7 @@ class TestFitsAndSummary:
     def test_summarize_exact_medians(self):
         fits = [FitRow("SIM-XY4", f"e{i}", 1, 1, 0, tau, 0, "ok")
                 for i, tau in enumerate([1.0, 3.0, 2.0])]
-        table = summarize(fits, 4)
+        table = summarize(fits)
         row = table.rows[0]
         assert row[2] == 2.0
         assert row[3] == 1.0  # IQR of {1,2,3}
@@ -188,16 +224,23 @@ class TestFitsAndSummary:
         fits = [FitRow("IDLE", "e0", 1, 1, 0, 1.0, 0, "ok"),
                 FitRow("idle", "e0", 1, 1, 0, 4.0, 0, "ok"),
                 FitRow("SIM-XY4", "e0", 1, 1, 0, 8.0, 0, "ok")]
-        table = summarize(fits, 4)
+        table = summarize(fits)
         idle_row = [r for r in table.rows if r[1] == "IDLE"][0]
         assert idle_row[2] == 4.0
         xy4 = [r for r in table.rows if r[1] == "XY4"][0]
         assert xy4[6] == pytest.approx(2.0)
 
+    def test_summarize_keeps_embedding_sizes_apart(self):
+        fits = [FitRow("SIM-XY4", "0-1-2-3", 1, 1, 0, 8.0, 0, "ok"),
+                FitRow("SIM-XY4", "0-1", 1, 1, 0, 2.0, 0, "ok"),
+                FitRow("IDLE", "0-1", 1, 1, 0, 1.0, 0, "ok")]
+        rows = [(r[0], r[1], r[2], r[6]) for r in summarize(fits).rows]
+        assert rows == [(2, "IDLE", 1.0, None), (2, "XY4", 2.0, 2.0), (4, "XY4", 8.0, None)]
+
     def test_summary_csv(self, tmp_path):
         fits = [FitRow("SIM-XY4", "e0", 1, 1, 0, 2.0, 0, "ok")]
         path = tmp_path / "summary.csv"
-        summarize(fits, 4).to_csv(path)
+        summarize(fits).to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == ("n,method,sim_median_tau_s,sim_iqr_s,cr_median_tau_s,"
                           "cr_iqr_s,sim_over_idle,cr_over_sim")
@@ -227,7 +270,7 @@ class TestCsvLabels:
         assert read_fits_csv(path) == fits
 
         summary = tmp_path / "summary.csv"
-        summarize(fits, 2).to_csv(summary)
+        summarize(fits).to_csv(summary)
         with open(summary, newline="") as fh:
             table = list(csv.reader(fh))
         assert all(len(row) == 8 for row in table)

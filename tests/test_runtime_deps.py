@@ -1,6 +1,7 @@
 import functools
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -48,3 +49,18 @@ def test_benchmark_wrap_targets_resolve():
         if not callable(target):
             missing.append(f"{module}.{attr}")
     assert layers.WRAPS and missing == []
+
+
+def _params(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_benchmark_positional_reads_match_signatures():
+    # the benchmark's callbacks read some wrapped calls' arguments by
+    # position; a renamed or reordered parameter would crash a traced run
+    from crdd import _kernels, experiment, sequences, sim
+    assert _params(_kernels.rk4_evolve)[:6] == ["psi", "ax", "ay", "diag", "h", "reps"]
+    assert _params(_kernels.su2_chain)[0] == "cx"
+    assert _params(sequences.envelope_amplitude)[3] == "t"
+    assert _params(sim.cycle_propagator)[1] == "schedules"
+    assert _params(experiment.cycle_propagator)[1] == "schedules"

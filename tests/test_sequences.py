@@ -207,6 +207,30 @@ class TestPad:
         with pytest.raises(ValueError):
             pad(cr_dd("XY4", tau_p=1.0, shape=SQUARE), -1.0, "symmetric")
 
+    @pytest.mark.parametrize("kw", [dict(k=0), dict(k=1, mode="sideways")])
+    def test_cr_dd_refuses_bad_padding(self, kw):
+        with pytest.raises(ValueError):
+            cr_dd("XY4", tau_p=1.0, shape=SQUARE, **kw)
+
+    @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("shape", [SQUARE, PulseShape.gaussian_drag(), PulseShape.ideal()])
+    def test_cr_dd_equals_pad_of_unpadded(self, shape, mode):
+        for red, blue in (("XY4", None), ("XY4", "UR12"), ("KDD", None)):
+            for k in (2, 3, 4):
+                direct = cr_dd(red, blue, tau_p=3.7e-8, shape=shape, k=k, mode=mode)
+                base = cr_dd(red, blue, tau_p=3.7e-8, shape=shape)
+                assert pad(base, (k - 1) * 3.7e-8, mode) == direct
+
+    @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("name", sorted(SEQUENCE_CATALOG))
+    def test_ideal_padded_schedules_build(self, name, mode):
+        # the colors add the same delays in different orders; durations are
+        # exactly rounded sums, so the pair still has one duration
+        for k in (2, 3, 4):
+            for tau_p in (1e-7, 5.69e-8, 3.3e-8, 2.1e-8, 7.7e-8):
+                sched = cr_dd(name, tau_p=tau_p, shape=PulseShape.ideal(), k=k, mode=mode)
+                assert sched.pulse_count == len(named_phases(name))
+
 
 class TestEnvelopes:
     def test_square_constant(self):
@@ -349,6 +373,11 @@ class TestSegmentValidation:
     def test_bounded_pulse_positive_duration(self):
         with pytest.raises(ValueError):
             Segment.for_pulse(0.0, 0.0, SQUARE)
+
+    def test_duration_does_not_depend_on_segment_order(self):
+        delays = [Segment.delay(d) for d in (0.1, 0.2, 0.3)]
+        assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+        assert Sequence(delays).duration == Sequence(delays[::-1]).duration == 0.6
 
     def test_sequence_needs_positive_duration(self):
         with pytest.raises(ValueError):

@@ -319,16 +319,12 @@ class ErrorMatrix:
         return float(np.abs(self.values).max())
 
 
-def _simpson_pieces(values, times, pieces, offset=0):
-    """Composite Simpson of a (nodes, ...) array over each smooth piece.
-
-    ``offset`` shifts the piece indices into ``times`` when ``values`` holds a
-    slice that starts at node ``offset``.
-    """
+def _simpson_pieces(values, times, pieces):
+    """Composite Simpson of a (nodes, ...) array over each smooth piece."""
     total = np.zeros(values.shape[1:])
     for (i0, i1) in pieces:
         n = i1 - i0
-        hs = (times[offset + i1] - times[offset + i0]) / n
+        hs = (times[i1] - times[i0]) / n
         w = np.ones(n + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
@@ -347,13 +343,11 @@ def chi2(trace_r, trace_b):
     sharing an identical grid."""
     if not trace_r.grid.quadrature_compatible(trace_b.grid):
         raise GridMismatchError("traces must share an identical time grid")
-    vals = np.zeros((3, 3))
-    times = trace_r.grid.times
-    for (i0, i1) in trace_r.grid.pieces:
-        zr = trace_r.R[i0:i1 + 1, 2, :]
-        zb = trace_b.R[i0:i1 + 1, 2, :]
-        prod = zr[:, :, None] * zb[:, None, :]
-        vals += _simpson_pieces(prod, times, [(0, i1 - i0)], offset=i0)
+    # node counts may differ only past the last piece (see quadrature_compatible)
+    end = trace_r.grid.pieces[-1][1] + 1
+    zr, zb = trace_r.R[:end, 2, :], trace_b.R[:end, 2, :]
+    vals = _simpson_pieces(zr[:, :, None] * zb[:, None, :], trace_r.grid.times,
+                           trace_r.grid.pieces)
     return ErrorMatrix("two_local", vals, trace_r.duration)
 
 
@@ -457,10 +451,6 @@ class ComponentSymmetry:
     def flag(self, relation):
         return self.residuals[relation] <= self.tol
 
-    @property
-    def flags(self):
-        return {rel: self.flag(rel) for rel in RELATIONS}
-
 
 @dataclass(frozen=True)
 class SymmetryReport:
@@ -479,34 +469,34 @@ class SymmetryReport:
 def classify_symmetry(trace, mu, alpha, tol=1e-6):
     """Relative L2 residuals of R(t + tau_c/2) = +/- R(t) and
     R(tau_c - t) = +/- R(t) for one component."""
+    key = (AXES[_axis_index(mu)], AXES[_axis_index(alpha)])
+    return classify_all(trace, tol).components[key]
+
+
+def classify_all(trace, tol=1e-6):
+    """``classify_symmetry`` of all nine components, from one uniform view."""
     _check_tol(tol)
     t, R = trace.uniform_view()
     n = len(t) - 1
     if n % 2:
         raise ValueError("grid node count across the half-cycle must be even")
     half = n // 2
-    y = R[:, _axis_index(mu), _axis_index(alpha)]
-    norm = math.sqrt(float(np.mean(y * y)))
-    scale = max(norm, 1e-300)
-    first, second = y[: half + 1], y[half:]
-    rev = y[::-1]
-    residuals = {
-        "displacement_symmetric": _rms(second - first) / scale,
-        "displacement_antisymmetric": _rms(second + first) / scale,
-        "mirror_symmetric": _rms(rev - y) / scale,
-        "mirror_antisymmetric": _rms(rev + y) / scale,
-    }
-    return ComponentSymmetry(AXES[_axis_index(mu)], AXES[_axis_index(alpha)],
-                             residuals, tol)
+    comps = {}
+    for m in range(3):
+        for a in range(3):
+            y = R[:, m, a]
+            scale = max(_rms(y), 1e-300)
+            first, second = y[: half + 1], y[half:]
+            rev = y[::-1]
+            residuals = {
+                "displacement_symmetric": _rms(second - first) / scale,
+                "displacement_antisymmetric": _rms(second + first) / scale,
+                "mirror_symmetric": _rms(rev - y) / scale,
+                "mirror_antisymmetric": _rms(rev + y) / scale,
+            }
+            comps[(AXES[m], AXES[a])] = ComponentSymmetry(AXES[m], AXES[a], residuals, tol)
+    return SymmetryReport(comps, tol)
 
 
 def _rms(d):
     return math.sqrt(float(np.mean(d * d)))
-
-
-def classify_all(trace, tol=1e-6):
-    comps = {}
-    for m in range(3):
-        for a in range(3):
-            comps[(AXES[m], AXES[a])] = classify_symmetry(trace, m, a, tol)
-    return SymmetryReport(comps, tol)

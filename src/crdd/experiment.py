@@ -117,7 +117,7 @@ def schedule_points(methods, target_pulses, spacing="linear", max_points=16):
     final = (target_pulses // g) * g
     units = final // g
     if spacing == "linear":
-        stride = max(1, units // max_points)
+        stride = -(-units // max_points)  # ceil: at most max_points points
         unit_counts = list(range(stride, units + 1, stride))
         if unit_counts[-1] != units:
             unit_counts.append(units)

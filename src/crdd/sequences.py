@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -702,6 +703,9 @@ class QubitGraph:
     coloring: tuple | None = None
 
     def __post_init__(self):
+        for x in (self.n, *(x for edge in self.edges for x in edge)):
+            if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+                raise ValueError(f"graph size and vertices must be integers, got {x!r}")
         if self.n < 1:
             raise ValueError("graph must have at least one vertex")
         norm = []

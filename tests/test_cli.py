@@ -1,7 +1,10 @@
+import argparse
 import json
+import pathlib
 
 import pytest
 
+from crdd import cli
 from crdd.cli import main
 from crdd.experiment import ExperimentPlan, read_fits_csv
 from crdd.sequences import PulseShape, cr_dd
@@ -251,6 +254,30 @@ class TestDispatch:
     def test_missing_flag_exits_2(self, capsys):
         assert run("seq", "build", "--name", "xy4") == 2
 
+    @pytest.mark.parametrize("verb", ["analyze trace", "analyze chi", "analyze symmetry",
+                                      "verify"])
+    def test_target_flags_exclusive_and_required(self, tmp_path, seq_json, sched_json,
+                                                 capsys, verb):
+        out = tmp_path / "out.csv"
+        both = ["--sequence", str(seq_json), "--schedule", str(sched_json)]
+        assert run(*verb.split(), *both, "--samples", "64", "--out", str(out)) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert run(*verb.split(), "--samples", "64", "--out", str(out)) == 2
+        assert "one of the arguments --sequence --schedule is required" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_float_vertices_exit_2(self, tmp_path, capsys):
+        plan = tiny_plan_json(tmp_path)
+        doc = json.loads(plan.read_text())
+        doc["device"]["graph"]["edges"] = [[0.0, 1.0]]
+        plan.write_text(json.dumps(doc))
+        results = tmp_path / "r.csv"
+        assert run("sim", "run", "--plan", str(plan), "--seed", "1",
+                   "--out", str(results)) == 2
+        assert "must be integers, got 0.0" in capsys.readouterr().err
+        assert not results.exists()
+
     def test_schema_roundtrip_stagger_analyze(self, tmp_path):
         sched = tmp_path / "s.json"
         run("seq", "stagger", "--red", "xy4", "--blue", "ur12", "--tau-p", "1.0",
@@ -258,3 +285,73 @@ class TestDispatch:
         out = tmp_path / "chi.csv"
         assert run("analyze", "chi", "--schedule", str(sched), "--samples", "64",
                    "--out", str(out)) == 0
+
+
+_FORCE = {"--force": (False, None, False)}
+_OUT = {"--out": (None, None, True), **_FORCE}
+_SHAPE = {"--shape": ("square", ["ideal", "square", "gaussian", "gaussian-drag"], False),
+          "--sigma": (None, None, False), "--drag-coefficient": (None, None, False)}
+_TARGET = {"--sequence": (None, None, False), "--schedule": (None, None, False),
+           "--samples": (256, None, False)}
+_COLOR = {"--color": ("red", ["red", "blue"], False)}
+_MODE = {"--mode": ("symmetric", ["symmetric", "asymmetric"], False)}
+# (default, choices, required) of every option of every verb
+VERB_OPTIONS = {
+    "seq build": {"--name": (None, None, True), "--tau-p": (None, None, True),
+                  **_SHAPE, **_OUT},
+    "seq stagger": {"--red": (None, None, True), "--blue": (None, None, False),
+                    "--tau-p": (None, None, True), "--k": (1, None, False), **_MODE,
+                    **_SHAPE, **_OUT},
+    "seq pad": {"--schedule": (None, None, True), "--tau-d": (None, None, False),
+                "--k": (None, None, False), **_MODE, **_OUT},
+    "analyze trace": {**_TARGET, **_COLOR, **_OUT},
+    "analyze chi": {**_TARGET, "--tol": (1e-8, None, False), **_OUT},
+    "analyze symmetry": {**_TARGET, **_COLOR, "--tol": (1e-6, None, False), **_OUT},
+    "verify": {**_TARGET, "--tol": (1e-8, None, False), "--out": (None, None, False),
+               **_FORCE},
+    "sim run": {"--plan": (None, None, True), "--seed": (None, None, True), **_OUT},
+    "fit": {"--in": (None, None, True), **_OUT},
+    "summarize": {"--fits": (None, None, True), **_OUT},
+    "report": {"--results": (None, None, True), "--fits": (None, None, False),
+               "--out-dir": (None, None, True), "--log-y": (False, None, False), **_FORCE},
+}
+
+
+def verb_parser(verb, monkeypatch):
+    """The parser a verb builds, caught where it parses its arguments."""
+    caught = []
+
+    def catch(self, args=None, namespace=None):
+        caught.append(self)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", catch)
+    assert main(verb.split()) == 0
+    return caught[0]
+
+
+class TestVerbTable:
+    def test_usage_lists_exactly_the_table(self):
+        listed = [line[2:20].strip() for line in cli.USAGE.splitlines()
+                  if line.startswith("  ")]
+        assert listed == list(cli.VERBS) == list(VERB_OPTIONS)
+
+    @pytest.mark.parametrize("verb", list(cli.VERBS))
+    def test_every_verb_answers_help(self, verb, capsys):
+        assert run(*verb.split(), "--help") == 0
+        assert capsys.readouterr().out.startswith(f"usage: crdd {verb} ")
+
+    @pytest.mark.parametrize("verb", list(VERB_OPTIONS))
+    def test_verb_options_pinned(self, verb, monkeypatch):
+        parser = verb_parser(verb, monkeypatch)
+        options = {a.option_strings[0]: (a.default, a.choices, a.required)
+                   for a in parser._actions if a.option_strings and a.dest != "help"}
+        assert options == VERB_OPTIONS[verb]
+
+    def test_console_script_resolves_to_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = pathlib.Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["crdd"]
+        module, _, name = target.partition(":")
+        assert module == "crdd.cli" and getattr(cli, name) is main

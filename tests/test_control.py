@@ -231,6 +231,14 @@ class TestChi2:
         assert c.entry("Z", "Z") == pytest.approx(6.0, abs=1e-6 * 8.0)
         assert abs(c.entry("X", "Y")) <= 1e-8 * 8.0
 
+    def test_trailing_instantaneous_pulse_outside_quadrature(self):
+        # a pulse at t = T adds a node past the last piece to one trace only
+        pulsed = control_trace(Sequence((Segment.delay(1.0),
+                                         Segment.for_pulse(0.0, 0.0, IDEAL))), 16)
+        idle = control_trace(Sequence((Segment.delay(1.0),)), 16)
+        assert len(pulsed.grid.times) == len(idle.grid.times) + 1
+        assert chi2(pulsed, idle).entry("Z", "Z") == pytest.approx(1.0, abs=1e-15)
+
     def test_grid_mismatch(self):
         tr = control_trace(sim_dd("XY4", 2, 1.0, SQUARE), 64)
         tb = control_trace(sim_dd("XY4", 2, 1.0, SQUARE), 128)

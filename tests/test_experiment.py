@@ -111,6 +111,13 @@ class TestSchedulePoints:
         assert all(b - a > 1e-12 * b for a, b in zip(idle, idle[1:]))
         assert all(min(abs(d - w) for w in idle) <= 1e-12 * d for d in walls)
 
+    @pytest.mark.parametrize("pulses, max_points, want",
+                             [(28, 4, [2, 4, 6, 7]), (400, 16, list(range(7, 99, 7)) + [100])])
+    def test_linear_spacing_gives_at_most_max_points(self, pulses, max_points, want):
+        pts = schedule_points({"CR-XY4": (4, 8.0)}, pulses, max_points=max_points)
+        assert [c for (c, _, _) in pts["CR-XY4"]] == want
+        assert len(want) <= max_points
+
     def test_impossible_alignment(self):
         with pytest.raises(AlignmentError) as exc:
             schedule_points({"a": (7, 7.0), "b": (13, 13.0)}, 20)

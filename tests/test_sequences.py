@@ -360,6 +360,16 @@ class TestJson:
         with pytest.raises(ValueError):
             QubitGraph(2, ((1, 1),))
 
+    @pytest.mark.parametrize("n, edges", [(2.0, ((0, 1),)), (2, ((0.0, 1.0),)),
+                                          (2, ((False, True),)), (True, ())])
+    def test_non_integer_vertices_refused(self, n, edges):
+        with pytest.raises(ValueError, match="must be integers"):
+            QubitGraph(n, edges)
+
+    def test_numpy_integer_vertices_accepted(self):
+        g = QubitGraph(np.int64(2), ((np.int64(0), np.int64(1)),))
+        assert g.edges == ((0, 1),)
+
 
 class TestSegmentValidation:
     def test_delay_no_payload(self):

@@ -72,11 +72,11 @@ def _parser(verb, out=True, target=False, tol=None, shape=False):
 
 def _make_shape(args):
     kind = args.shape.replace("-", "_")
-    if kind == "gaussian_drag":
-        return PulseShape(kind, sigma=args.sigma, drag_coefficient=args.drag_coefficient)
-    if kind == "gaussian":
-        return PulseShape(kind, sigma=args.sigma)
-    return PulseShape(kind)
+    for flag, value, kinds in (("--sigma", args.sigma, ("gaussian", "gaussian_drag")),
+                               ("--drag-coefficient", args.drag_coefficient, ("gaussian_drag",))):
+        if value is not None and kind not in kinds:
+            raise ValueError(f"{flag} does not apply to --shape {args.shape}")
+    return PulseShape(kind, sigma=args.sigma, drag_coefficient=args.drag_coefficient)
 
 
 def _load_target(args):

@@ -21,8 +21,15 @@ This homogeneous form equals the trace formula for any U of that form, unit
 or not.  R R^T = |q|^4 I, so a check on R would only repeat the unitarity
 check at twice its defect; that check, in ``propagate``, is the guard:
 U^dag U = |q|^2 I, so its defect is | |U00|^2 + |U10|^2 - 1 |.  Error matrices
-are time integrals on the propagation grid (composite Simpson per smooth
-piece).
+are time integrals.  ``chi1``/``chi2`` integrate a trace by composite Simpson
+per smooth piece; ``verify_first_order`` sums by segments and builds no trace.
+On a piece of the common cut from s, R(t) = R_loc(t) S with S = R(s), so chi1
+gains (int R_loc dt) S and chi2 gains S_r^T (int R_loc,r[Z]^T R_loc,b[Z] dt) S_b;
+then S <- R_loc(end) S, as at an ideal pulse.  R_loc is I on a delay.  A pulse's
+is built at phase 0 once per call and (shape, flip angle, duration,
+sub-interval), on the trace's Simpson nodes: a constant-rate turn if square,
+else the guarded CF4 chain.  The adjoint of exp(-i phase Z/2) conjugates it to
+the pulse's phase (virtual Z, McKay et al., PRA 96, 022330 (2017)).
 """
 from __future__ import annotations
 
@@ -95,6 +102,18 @@ class TimeGrid:
         return True
 
 
+def _cf4_pulse(seg, phase, lo, hs, n):
+    """CF4 coefficients of ``n`` steps of ``hs`` from offset ``lo`` into pulse
+    segment ``seg``, driven at ``phase``."""
+    p = seg.pulse
+    g1, g2 = _kernels._GAUSS_NODES
+    t0 = lo + np.arange(n) * hs
+    axis = complex(math.cos(phase), math.sin(phase))
+    w1i, w1q = envelope_amplitude(p.shape, p.flip_angle, seg.duration, t0 + g1 * hs)
+    w2i, w2q = envelope_amplitude(p.shape, p.flip_angle, seg.duration, t0 + g2 * hs)
+    return _kernels.cf4_steps((w1i + 1j * w1q) * axis, (w2i + 1j * w2q) * axis, hs)
+
+
 def _plan_sequence(sequence, samples_per_pulse, partners=()):
     """Fixed-step CF4 plan of ``sequence`` on the cut it shares with
     ``partners``: its TimeGrid, the per-step coefficients ``(cx, cy, dx, dy)``
@@ -114,7 +133,6 @@ def _plan_sequence(sequence, samples_per_pulse, partners=()):
     pieces, events = [], {}
     node = 0
     sep_needed = False  # insert a duplicate-node marker before the next piece
-    g1, g2 = _kernels._GAUSS_NODES
     zero = np.zeros(1)
 
     for i in range(len(edges)):
@@ -151,13 +169,7 @@ def _plan_sequence(sequence, samples_per_pulse, partners=()):
             still = np.zeros(n)
             runs.append((np.full(n, hs), still, still, still, still))
         else:
-            p = seg.pulse
-            t0 = lo + np.arange(n) * hs
-            axis = complex(math.cos(p.phase), math.sin(p.phase))
-            w1i, w1q = envelope_amplitude(p.shape, p.flip_angle, seg.duration, t0 + g1 * hs)
-            w2i, w2q = envelope_amplitude(p.shape, p.flip_angle, seg.duration, t0 + g2 * hs)
-            runs.append((np.full(n, hs), *_kernels.cf4_steps(
-                (w1i + 1j * w1q) * axis, (w2i + 1j * w2q) * axis, hs)))
+            runs.append((np.full(n, hs), *_cf4_pulse(seg, seg.pulse.phase, lo, hs, n)))
         pieces.append((node, node + n))
         node += n
         sep_needed = True
@@ -184,7 +196,12 @@ def propagate(sequence, samples_per_pulse=256, partners=(), unitarity_tol=1e-10)
     duration raise ValueError.
     """
     grid, coeffs, _ = _plan_sequence(sequence, samples_per_pulse, partners)
-    out = np.empty((len(grid.times), 2, 2), dtype=np.complex128)
+    return grid, _chain(coeffs, unitarity_tol)
+
+
+def _chain(coeffs, unitarity_tol=1e-10):
+    """Unitaries from I after each CF4 step, checked as ``propagate`` says."""
+    out = np.empty((len(coeffs[0]) + 1, 2, 2), dtype=np.complex128)
     out[0] = np.eye(2)
     _kernels.su2_chain(*coeffs, out)
     # U^dag U = |q|^2 I for every node, read off the first column
@@ -192,7 +209,7 @@ def propagate(sequence, samples_per_pulse=256, partners=(), unitarity_tol=1e-10)
     defect = np.abs((col.real ** 2 + col.imag ** 2).sum(axis=1) - 1.0).max()
     if not defect <= unitarity_tol:  # written so that a NaN node also fails
         raise IntegrationError(f"unitarity defect {defect:.3e} exceeds {unitarity_tol:.1e}")
-    return grid, out
+    return out
 
 
 def _adjoint_from_unitaries(U):
@@ -260,11 +277,10 @@ def _pi_rotation_adjoint(phase):
 
 def _axis_rotation_adjoint(phase, angle):
     # adjoint of exp(-i angle/2 (cos(phase) X + sin(phase) Y)): rotation of the
-    # Pauli vector about the equatorial axis by -angle
+    # Pauli vector about the equatorial axis by angle
     n = np.array([math.cos(phase), math.sin(phase), 0.0])
     K = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-    th = -angle
-    return np.eye(3) + math.sin(th) * K + (1 - math.cos(th)) * (K @ K)
+    return np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
 
 
 def bang_bang_trace(sequence, samples_per_pulse=256, partners=()):
@@ -408,24 +424,67 @@ def _check_tol(tol):
         raise ValueError(f"tol must be finite and > 0; got {tol}")
 
 
+def _segment_chi(seqs, samples_per_pulse):
+    """chi1 of each of ``seqs`` and chi2 of the first with the last, by segments."""
+    if samples_per_pulse < 16:
+        raise ValueError("samples_per_pulse must be >= 16")
+    edges, cut, instants = _common_cut(seqs)
+    h = _reference_duration(seqs) / samples_per_pulse
+    frames, one, two, cache = [np.eye(3)] * len(seqs), [0.0] * len(seqs), 0.0, {}
+    for i, row in enumerate(cut):
+        for q, p in instants.get(i, ()):
+            frames[q] = _axis_rotation_adjoint(p.phase, p.flip_angle) @ frames[q]
+        dur = edges[i + 1] - edges[i]
+        n = 2 * max(1, round(dur / (2 * h)))
+        local = []  # (int R_loc dt, R_loc(end), Z rows of R_loc or None if constant)
+        for start, seg in row:
+            if seg.kind == "delay":
+                local.append((dur * np.eye(3), np.eye(3), None))
+                continue
+            p, lo = seg.pulse, max(edges[i] - start, 0.0)
+            hi = min(edges[i + 1] - start, seg.duration)
+            key = (p.shape, p.flip_angle, seg.duration, lo, hi, n)
+            if key not in cache:
+                t = np.linspace(0.0, hi - lo, n + 1)
+                if p.shape.kind == "square":
+                    th = p.flip_angle / seg.duration * t
+                    c, s, o, z = np.cos(th), np.sin(th), np.ones(n + 1), np.zeros(n + 1)
+                    R = np.stack((o, z, z, z, c, -s, z, s, c), axis=-1).reshape(-1, 3, 3)
+                else:
+                    R = _adjoint_from_unitaries(_chain(_cf4_pulse(seg, 0.0, lo, t[1], n)))
+                cache[key] = (_simpson_pieces(R, t, ((0, n),)), R[-1], R[:, 2])
+            L, E, Z = cache[key]
+            c, s = math.cos(p.phase), math.sin(p.phase)
+            Q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            local.append((Q @ L @ Q.T, Q @ E @ Q.T, Z @ Q.T))
+        (Lr, _, Zr), (Lb, _, Zb) = local[0], local[-1]
+        if Zr is None or Zb is None:  # int z_r^T z_b with one factor constant
+            M = np.outer(Lr[2], Lb[2]) / dur
+        else:
+            t = np.linspace(0.0, dur, n + 1)
+            M = _simpson_pieces(Zr[:, :, None] * Zb[:, None, :], t, ((0, n),))
+        two = two + frames[0].T @ M @ frames[-1]
+        for q, (L, E, _) in enumerate(local):
+            one[q] = one[q] + L @ frames[q]
+            frames[q] = E @ frames[q]
+    return one, two
+
+
 def verify_first_order(obj, samples_per_pulse=256, tol=1e-8):
     """Evaluate chi1 per color and chi2 for the pair; pass iff every entry is
     below tol * tau_c.  A bare Sequence is treated as applied simultaneously
-    to both edge endpoints."""
+    to both edge endpoints.  Summed by segments (``_segment_chi``)."""
     _check_tol(tol)
-    rows = []
     if isinstance(obj, ColoredSchedule):
-        tr, tb = paired_traces(obj, samples_per_pulse)
-        parts = [("one_local_red", chi1(tr)), ("one_local_blue", chi1(tb)),
-                 ("two_local", chi2(tr, tb))]
-        tau_c = obj.duration
+        names, seqs = ("one_local_red", "one_local_blue"), (obj.red, obj.blue)
     elif isinstance(obj, Sequence):
-        tr = control_trace(obj, samples_per_pulse)
-        parts = [("one_local", chi1(tr)), ("two_local", chi2(tr, tr))]
-        tau_c = obj.duration
+        names, seqs = ("one_local",), (obj,)
     else:
         raise TypeError("expected a Sequence or ColoredSchedule")
-    for kind, mat in parts:
+    one, two = _segment_chi(seqs, samples_per_pulse)
+    tau_c, rows = obj.duration, []
+    mats = [ErrorMatrix("one_local", v, tau_c) for v in one]  # each checks its bound
+    for kind, mat in zip(names + ("two_local",), mats + [ErrorMatrix("two_local", two, tau_c)]):
         for m in range(3):
             for a in range(3):
                 v = float(mat.values[m, a])

@@ -168,8 +168,15 @@ class ExperimentPlan:
     shape: PulseShape = field(default_factory=PulseShape.square)
 
     def __post_init__(self):
+        embeddings = tuple(tuple(e) for e in self.embeddings)
+        if not embeddings or not all(embeddings):
+            raise ValueError(f"a plan needs at least one embedding and no empty one, "
+                             f"got {embeddings!r}")
+        for v in (v for emb in embeddings for v in emb):
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ValueError(f"embedding vertices must be integers, got {v!r}")
         object.__setattr__(self, "embeddings",
-                           tuple(tuple(int(v) for v in e) for e in self.embeddings))
+                           tuple(tuple(int(v) for v in e) for e in embeddings))
         object.__setattr__(self, "methods", tuple(self.methods))
         for name, low, high in (("shots", 1, None), ("samples_per_pulse", 16, None),
                                 ("target_pulses", 1, None), ("max_points", 1, None),

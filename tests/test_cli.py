@@ -278,6 +278,47 @@ class TestDispatch:
         assert "must be integers, got 0.0" in capsys.readouterr().err
         assert not results.exists()
 
+    @pytest.mark.parametrize("embeddings, message", [
+        ([[0.7, 1.2]], "embedding vertices must be integers, got 0.7"),
+        ([], "at least one embedding"),
+        ([[]], "at least one embedding"),
+    ])
+    def test_unrunnable_embeddings_exit_2(self, tmp_path, capsys, embeddings, message):
+        plan = tiny_plan_json(tmp_path)
+        doc = json.loads(plan.read_text())
+        doc["embeddings"] = embeddings
+        plan.write_text(json.dumps(doc))
+        results = tmp_path / "r.csv"
+        assert run("sim", "run", "--plan", str(plan), "--seed", "1",
+                   "--out", str(results)) == 2
+        assert message in capsys.readouterr().err
+        assert not results.exists()
+
+    @pytest.mark.parametrize("verb", [("seq", "build", "--name", "xy4"),
+                                      ("seq", "stagger", "--red", "xy4")])
+    @pytest.mark.parametrize("shape, flags, refused", [
+        ("square", ("--sigma", "1e-8", "--drag-coefficient", "0.3"), "--sigma"),
+        ("ideal", ("--sigma", "1e-8"), "--sigma"),
+        ("square", ("--drag-coefficient", "0.3"), "--drag-coefficient"),
+        ("gaussian", ("--sigma", "1e-8", "--drag-coefficient", "0.3"), "--drag-coefficient"),
+    ])
+    def test_unused_shape_flags_exit_2(self, tmp_path, capsys, verb, shape, flags, refused):
+        out = tmp_path / "x.json"
+        assert run(*verb, "--tau-p", "5.69e-8", "--shape", shape, *flags,
+                   "--out", str(out)) == 2
+        assert f"{refused} does not apply to --shape {shape}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", [("seq", "build", "--name", "xy4"),
+                                      ("seq", "stagger", "--red", "xy4")])
+    def test_used_shape_flags_reach_the_file(self, tmp_path, verb):
+        out = tmp_path / "x.json"
+        assert run(*verb, "--tau-p", "5.69e-8", "--shape", "gaussian-drag", "--sigma", "1e-8",
+                   "--drag-coefficient", "0.3", "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        shape = (doc if "shape" in doc else doc["red"])["shape"]
+        assert shape == {"kind": "gaussian_drag", "sigma_s": 1e-8, "drag_coefficient": 0.3}
+
     def test_schema_roundtrip_stagger_analyze(self, tmp_path):
         sched = tmp_path / "s.json"
         run("seq", "stagger", "--red", "xy4", "--blue", "ur12", "--tau-p", "1.0",

@@ -10,12 +10,14 @@ from crdd.control import (
     propagate, verify_first_order,
 )
 from crdd.sequences import (
-    PulseShape, PulseSpec, Segment, Sequence, cr_dd, named_phases, sim_dd,
+    ColoredSchedule, PulseShape, PulseSpec, Segment, Sequence, cr_dd, named_phases, sim_dd,
+    sim_variant,
 )
 
 PI = math.pi
 SQUARE = PulseShape.square()
 DRAG = PulseShape.gaussian_drag()
+GAUSS = PulseShape.gaussian()
 IDEAL = PulseShape.ideal()
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -86,6 +88,8 @@ class TestPropagate:
         assert np.abs(u[-1] - expected).max() < 1e-14
         tr = bang_bang_trace(seq, 32)
         assert tr.R[-1][2, 2] == pytest.approx(0.0, abs=1e-12)  # Z tipped to -Y
+        # a non-pi turn is not its own inverse: the sense of rotation shows
+        assert np.abs(tr.R - control_trace(seq, 32).R).max() < 1e-14
 
 
 class TestControlTrace:
@@ -287,6 +291,97 @@ class TestVerify:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             verify_first_order(cr_dd("XY4", tau_p=1.0, shape=SQUARE), 64, tol=0.0)
+
+
+def trace_chi(obj, samples):
+    """chi1 per color and chi2 on control traces: the reference path."""
+    if isinstance(obj, ColoredSchedule):
+        tr, tb = paired_traces(obj, samples)
+        mats = [chi1(tr), chi1(tb), chi2(tr, tb)]
+    else:
+        tr = control_trace(obj, samples)
+        mats = [chi1(tr), chi2(tr, tr)]
+    return [m.values for m in mats]
+
+
+def report_chi(rep):
+    kinds = list(dict.fromkeys(r[0] for r in rep.rows))
+    return [np.array([[r[3] for r in rep.rows if r[0] == k]]).reshape(3, 3) for k in kinds]
+
+
+class TestSegmentChi:
+    """verify_first_order sums chi by segments; it must give the trace values."""
+
+    def assert_matches_traces(self, obj, samples=64):
+        got = report_chi(verify_first_order(obj, samples))
+        want = trace_chi(obj, samples)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12 * obj.duration
+
+    @pytest.mark.parametrize("shape", [SQUARE, GAUSS, DRAG, IDEAL], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("k, mode", [(1, "symmetric"), (3, "symmetric"), (2, "asymmetric")])
+    @pytest.mark.parametrize("name", ["XY4", "EDD", "KDD", "UR10", "UR12", "RGA64c"])
+    def test_catalog(self, name, k, mode, shape):
+        # ideal CR schedules fail first-order verification; the segment path
+        # reproduces the failing trace values too
+        self.assert_matches_traces(cr_dd(name, tau_p=5.69e-8, shape=shape, k=k, mode=mode))
+
+    @pytest.mark.parametrize("shape", [SQUARE, DRAG, IDEAL], ids=lambda s: s.kind)
+    def test_heterogeneous(self, shape):
+        self.assert_matches_traces(cr_dd("XY4", "UR12", tau_p=1.0, shape=shape, k=2))
+
+    @pytest.mark.parametrize("shape", [SQUARE, GAUSS, DRAG, IDEAL], ids=lambda s: s.kind)
+    def test_bare_sequence(self, shape):
+        self.assert_matches_traces(sim_dd("XY4", 2, 1.0, shape))
+
+    @pytest.mark.parametrize("shape", [SQUARE, GAUSS, DRAG], ids=lambda s: s.kind)
+    def test_sim_pair_overlapping_pulses(self, shape):
+        phases = np.random.default_rng(11).uniform(0.0, 2 * PI, 4)
+        sched = ColoredSchedule(sim_dd("XY4", 2, 1.0, shape),
+                                sim_variant(tuple(phases), 1.0, 1.0, shape))
+        self.assert_matches_traces(sched)
+
+    @pytest.mark.parametrize("partner", [SQUARE, GAUSS, DRAG], ids=lambda s: s.kind)
+    def test_partner_edge_cuts_shaped_pulse(self, partner):
+        # the blue pulse starts inside the red DRAG pulse and ends after it
+        red = Sequence((Segment.delay(0.5), Segment.for_pulse(0.3, 1.0, DRAG),
+                        Segment.delay(1.5), Segment.for_pulse(2.0, 1.0, DRAG)))
+        blue = Sequence((Segment.delay(0.8), Segment.for_pulse(1.1, 1.0, partner),
+                         Segment.delay(1.7), Segment.for_pulse(-0.4, 0.5, partner)))
+        self.assert_matches_traces(ColoredSchedule(red, blue), 128)
+
+    def test_instantaneous_pulses_at_both_ends(self):
+        x = Segment.for_pulse(0.0, 0.0, IDEAL)
+        y = Segment("pulse", 0.0, PulseSpec(PI / 2, 0.0, IDEAL, flip_angle=PI / 2))
+        red = Sequence((x, Segment.delay(1.0), y, Segment.for_pulse(0.7, 1.0, SQUARE), x))
+        blue = Sequence((y, Segment.delay(0.5), y, Segment.delay(1.5), x, x))
+        self.assert_matches_traces(ColoredSchedule(red, blue), 32)
+
+    def test_builds_no_trace(self, monkeypatch):
+        import crdd.control as control
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verification built a trace")
+
+        monkeypatch.setattr(control, "propagate", refuse)
+        monkeypatch.setattr(control, "control_trace", refuse)
+        assert verify_first_order(cr_dd("KDD", tau_p=1.0, shape=DRAG), 64).passed
+
+    def test_nan_node_raises(self, monkeypatch):
+        chain = _kernels.su2_chain
+
+        def nan_chain(cx, cy, dx, dy, out):
+            chain(cx, cy, dx, dy, out)
+            out[len(out) // 2] = np.nan
+
+        monkeypatch.setattr(_kernels, "su2_chain", nan_chain)
+        with pytest.raises(IntegrationError, match="nan"):
+            verify_first_order(cr_dd("XY4", tau_p=1.0, shape=DRAG), 32)
+
+    def test_rejects_coarse_sampling(self):
+        with pytest.raises(ValueError, match="samples_per_pulse"):
+            verify_first_order(cr_dd("XY4", tau_p=1.0, shape=SQUARE), 8)
 
 
 class TestSymmetry:

@@ -1,5 +1,6 @@
 import csv
 
+import numpy as np
 import pytest
 
 from crdd.experiment import (
@@ -323,3 +324,20 @@ class TestPlanJson:
         with pytest.raises(ValueError):
             ExperimentPlan(device=dev, embeddings=((0, 7),), methods=("IDLE",),
                            target_pulses=8, shots=10, seed=0)
+
+    @pytest.mark.parametrize("emb", [(0.7, 1.2), (0.0, 1.0), (True, 1), ("0", 1)])
+    def test_non_integer_vertices_refused(self, emb):
+        # int() would run (0.7, 1.2) on vertices (0, 1)
+        with pytest.raises(ValueError, match="embedding vertices must be integers"):
+            tiny_plan(embeddings=(emb,))
+
+    def test_numpy_integer_vertices_stored_as_int(self):
+        plan = tiny_plan(embeddings=((np.int64(1), np.int32(0)),))
+        assert plan.embeddings == ((1, 0),)
+        assert all(type(v) is int for v in plan.embeddings[0])
+
+    @pytest.mark.parametrize("embs", [(), ((),), ((0, 1), ())])
+    def test_empty_embeddings_refused(self, embs):
+        # nothing would run: the results file would hold its header alone
+        with pytest.raises(ValueError, match="at least one embedding"):
+            tiny_plan(embeddings=embs)

@@ -21,15 +21,14 @@ This homogeneous form equals the trace formula for any U of that form, unit
 or not.  R R^T = |q|^4 I, so a check on R would only repeat the unitarity
 check at twice its defect; that check, in ``propagate``, is the guard:
 U^dag U = |q|^2 I, so its defect is | |U00|^2 + |U10|^2 - 1 |.  Error matrices
-are time integrals.  ``chi1``/``chi2`` integrate a trace by composite Simpson
-per smooth piece; ``verify_first_order`` sums by segments and builds no trace.
-On a piece of the common cut from s, R(t) = R_loc(t) S with S = R(s), so chi1
-gains (int R_loc dt) S and chi2 gains S_r^T (int R_loc,r[Z]^T R_loc,b[Z] dt) S_b;
-then S <- R_loc(end) S, as at an ideal pulse.  R_loc is I on a delay.  A pulse's
-is built at phase 0 once per call and (shape, flip angle, duration,
-sub-interval), on the trace's Simpson nodes: a constant-rate turn if square,
-else the guarded CF4 chain.  The adjoint of exp(-i phase Z/2) conjugates it to
-the pulse's phase (virtual Z, McKay et al., PRA 96, 022330 (2017)).
+are time integrals: ``chi1``/``chi2`` take composite Simpson per smooth piece
+of a trace, while ``verify_first_order`` builds no trace.  On a piece of the cut
+from s, R(t) = R_loc(t) S with S = R(s): chi1 gains (int R_loc dt) S and chi2
+S_r^T (int R_loc,r[Z]^T R_loc,b[Z] dt) S_b, then S <- R_loc(end) S, as at an
+ideal pulse.  R_loc is I on a delay, else built at phase 0 on the trace's Simpson
+nodes once per call and (shape, flip angle, duration, sub-interval) -- a turn at
+constant rate if square, else the guarded CF4 chain -- and conjugated to the
+pulse's phase by exp(-i phase Z/2) (virtual Z, McKay et al., PRA 96, 022330).
 """
 from __future__ import annotations
 
@@ -511,10 +510,18 @@ class ComponentSymmetry:
         return self.residuals[relation] <= self.tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetryReport:
-    components: dict
+    """Residuals ``[mu, alpha, k]`` of relation ``RELATIONS[k]``, in one array."""
+
+    residuals: np.ndarray
     tol: float
+
+    @property
+    def components(self):
+        return {(AXES[m], AXES[a]): ComponentSymmetry(
+            AXES[m], AXES[a], dict(zip(RELATIONS, self.residuals[m, a].tolist())), self.tol)
+            for m in range(3) for a in range(3)}
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -540,21 +547,15 @@ def classify_all(trace, tol=1e-6):
     if n % 2:
         raise ValueError("grid node count across the half-cycle must be even")
     half = n // 2
-    comps = {}
+    res = np.empty((3, 3, len(RELATIONS)))
     for m in range(3):
         for a in range(3):
             y = R[:, m, a]
             scale = max(_rms(y), 1e-300)
-            first, second = y[: half + 1], y[half:]
+            y0, y1 = y[: half + 1], y[half:]
             rev = y[::-1]
-            residuals = {
-                "displacement_symmetric": _rms(second - first) / scale,
-                "displacement_antisymmetric": _rms(second + first) / scale,
-                "mirror_symmetric": _rms(rev - y) / scale,
-                "mirror_antisymmetric": _rms(rev + y) / scale,
-            }
-            comps[(AXES[m], AXES[a])] = ComponentSymmetry(AXES[m], AXES[a], residuals, tol)
-    return SymmetryReport(comps, tol)
+            res[m, a] = [_rms(d) / scale for d in (y1 - y0, y1 + y0, rev - y, rev + y)]
+    return SymmetryReport(res, tol)
 
 
 def _rms(d):

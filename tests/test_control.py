@@ -385,6 +385,14 @@ class TestSegmentChi:
 
 
 class TestSymmetry:
+    def test_report_keeps_one_array(self):
+        from crdd.control import RELATIONS, classify_all
+        rep = classify_all(control_trace(cr_dd("XY4", tau_p=1.0, shape=SQUARE).red, 64))
+        assert rep.residuals.shape == (3, 3, len(RELATIONS))
+        comp = rep.components[("Z", "X")]
+        assert comp.residuals == dict(zip(RELATIONS, rep.residuals[2, 0].tolist()))
+        assert all(type(r) is float for r in comp.residuals.values())
+
     def test_cr_xy4_displacement_classes(self):
         tr, _ = paired_traces(cr_dd("XY4", tau_p=1.0, shape=DRAG), 256)
         zz = classify_symmetry(tr, "Z", "Z")

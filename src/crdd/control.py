@@ -27,8 +27,8 @@ from s, R(t) = R_loc(t) S with S = R(s): chi1 gains (int R_loc dt) S and chi2
 S_r^T (int R_loc,r[Z]^T R_loc,b[Z] dt) S_b, then S <- R_loc(end) S, as at an
 ideal pulse.  R_loc is I on a delay, else built at phase 0 on the trace's Simpson
 nodes once per call and (shape, flip angle, duration, sub-interval) -- a turn at
-constant rate if square, else the guarded CF4 chain -- and conjugated to the
-pulse's phase by exp(-i phase Z/2) (virtual Z, McKay et al., PRA 96, 022330).
+constant rate if square, else the guarded CF4 chain -- and conjugated by the
+adjoint of exp(-i phase Z/2) (virtual Z, McKay et al., PRA 96, 022330 (2017)).
 """
 from __future__ import annotations
 

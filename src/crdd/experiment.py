@@ -170,7 +170,7 @@ class ExperimentPlan:
     def __post_init__(self):
         embeddings = tuple(tuple(e) for e in self.embeddings)
         if not embeddings or not all(embeddings):
-            raise ValueError(f"a plan needs at least one embedding and no empty one, "
+            raise ValueError("a plan needs at least one embedding and no empty one, "
                              f"got {embeddings!r}")
         for v in (v for emb in embeddings for v in emb):
             if not isinstance(v, numbers.Integral) or isinstance(v, bool):

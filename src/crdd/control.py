@@ -102,8 +102,7 @@ class TimeGrid:
 
 
 def _cf4_pulse(seg, phase, lo, hs, n):
-    """CF4 coefficients of ``n`` steps of ``hs`` from offset ``lo`` into pulse
-    segment ``seg``, driven at ``phase``."""
+    """CF4 coefficients of ``n`` steps of ``hs`` from offset ``lo`` into ``seg``, at ``phase``."""
     p = seg.pulse
     g1, g2 = _kernels._GAUSS_NODES
     t0 = lo + np.arange(n) * hs
@@ -442,7 +441,8 @@ def _segment_chi(seqs, samples_per_pulse):
                 continue
             p, lo = seg.pulse, max(edges[i] - start, 0.0)
             hi = min(edges[i + 1] - start, seg.duration)
-            key = (p.shape, p.flip_angle, seg.duration, lo, hi, n)
+            # offsets on a 1e-9 h grid, so ones that differ by rounding share a chain
+            key = (p.shape, p.flip_angle, seg.duration, round(lo / h, 9), round(hi / h, 9), n)
             if key not in cache:
                 t = np.linspace(0.0, hi - lo, n + 1)
                 if p.shape.kind == "square":

@@ -94,8 +94,8 @@ def test_random_phase_pairs(kind, mode):
 @pytest.mark.parametrize("red, blue, kind", [("XY4", None, "square"),
                                              ("XY4", "UR12", "gaussian_drag")])
 def test_catalog_schedules(red, blue, kind):
-    # chi2 cancels, so the ZZ coupling enters K at second order only, and
-    # with Z fields alone so does the rest
+    # chi2 cancels, so the ZZ coupling enters K at second order only; the
+    # DRAG case has Z fields only, so there K is second order throughout
     shape = PulseShape(kind)
     sched = cr_dd(red, blue, tau_p=TAU_P, shape=shape)
     assert_bridge(sched, fields(np.random.default_rng(7), shape))

@@ -8,9 +8,9 @@
 ``su2_chain``
     Sequential composition of per-step SU(2) factors
     ``U <- exp(-i(dx X + dy Y)/2) exp(-i(cx X + cy Y)/2) U`` recording the
-    unitary after every step.  Steps with all-zero coefficients copy the node
-    exactly (used for delays and duplicated piece boundaries); steps with only
-    a (cx, cy) pair realize instantaneous rotations.  The prefix products are
+    unitary after every step (control runs it inside shaped pulses only).
+    Steps with all-zero coefficients copy the node exactly; steps with only a
+    (cx, cy) pair realize instantaneous rotations.  The prefix products are
     formed as unit quaternions by a work-efficient log-depth scan (Blelloch
     1990).
 

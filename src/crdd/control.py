@@ -1,11 +1,16 @@
 """Control-unitary propagation, control matrices, error-matrix integrals,
 first-order suppression verification, and symmetry classification.
 
-The single-qubit control unitary is advanced with a fixed-step fourth-order
-commutator-free exponential integrator (two closed-form SU(2) factors per
-step, Gauss-Legendre sampled), so every node is unitary to machine precision
-and the quadrature floor sits well below the suppression tolerances.  Ideal
-pulses are applied as exact instantaneous rotations at segment boundaries.
+The control is piecewise constant on the cut a sequence shares with its
+partners (``sequences._common_cut``), so every node of a trace is U = V_loc S,
+with S the unitary at the start of the node's piece; the piece starts compose
+over hundreds of factors.  V_loc is I on a delay and a closed-form turn about
+the drive axis on a square pulse.  On a shaped pulse it is the fourth-order
+commutator-free (CF4) chain, two closed-form SU(2) factors per step sampled at
+the Gauss-Legendre nodes, built at phase 0 once per call and (shape, flip
+angle, duration, sub-interval) and conjugated by exp(-i phase Z/2) (virtual Z,
+McKay et al., PRA 96, 022330 (2017)).  Ideal pulses are exact rotations at an
+instant.  Every node is checked for unitarity.
 
 The control matrix follows R[mu, alpha](t) = Tr[U(t)^dag s_mu U(t) s_alpha]/2,
 an SO(3) rotation with R(0) = I.  Every node starts from the identity, so it
@@ -19,20 +24,17 @@ rotation matrix:
 
 This homogeneous form equals the trace formula for any U of that form, unit
 or not.  R R^T = |q|^4 I, so a check on R would only repeat the unitarity
-check at twice its defect; that check, in ``propagate``, is the guard:
-U^dag U = |q|^2 I, so its defect is | |U00|^2 + |U10|^2 - 1 |.  Error matrices
-are time integrals: ``chi1``/``chi2`` take composite Simpson per smooth piece
-of a trace, while ``verify_first_order`` builds no trace.  On a piece of the cut
-from s, R(t) = R_loc(t) S with S = R(s): chi1 gains (int R_loc dt) S and chi2
-S_r^T (int R_loc,r[Z]^T R_loc,b[Z] dt) S_b, then S <- R_loc(end) S, as at an
-ideal pulse.  R_loc is I on a delay, else built at phase 0 on the trace's Simpson
-nodes once per call and (shape, flip angle, duration, sub-interval) -- a turn at
-constant rate if square, else the guarded CF4 chain -- and conjugated by the
-adjoint of exp(-i phase Z/2) (virtual Z, McKay et al., PRA 96, 022330 (2017)).
+check at twice its defect; that check is the guard: U^dag U = |q|^2 I, so its
+defect is | |U00|^2 + |U10|^2 - 1 |.  Error matrices are time integrals:
+``chi1``/``chi2`` take composite Simpson per smooth piece of a trace, while
+``verify_first_order`` builds no trace.  With R(t) = R_loc(t) S on a piece,
+chi1 gains (int R_loc dt) S and chi2 S_r^T (int R_loc,r[Z]^T R_loc,b[Z] dt)
+S_b, then S <- R_loc(end) S; R_loc is the adjoint of the same V_loc.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -60,18 +62,15 @@ class GridMismatchError(ValueError):
 
 
 def _axis_index(a):
-    if isinstance(a, str):
-        a = a.upper()
-        if a in AXES:
-            return AXES.index(a)
-        raise ValueError(f"axis must be one of X, Y, Z, got {a!r}")
-    if a in (0, 1, 2):
+    if isinstance(a, str) and a.upper() in ("X", "Y", "Z"):
+        return AXES.index(a.upper())
+    if not isinstance(a, str) and a in (0, 1, 2):
         return int(a)
     raise ValueError(f"axis must be one of X, Y, Z, got {a!r}")
 
 
 # ---------------------------------------------------------------------------
-# Step plans
+# Node layouts, local turns and propagation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -112,44 +111,34 @@ def _cf4_pulse(seg, phase, lo, hs, n):
     return _kernels.cf4_steps((w1i + 1j * w1q) * axis, (w2i + 1j * w2q) * axis, hs)
 
 
+def _step(seqs, samples_per_pulse):
+    """Step ``h = _reference_duration(seqs) / samples_per_pulse`` of sequences
+    cut together; ``samples_per_pulse`` must be an integer >= 16."""
+    if (not isinstance(samples_per_pulse, numbers.Integral) or isinstance(samples_per_pulse, bool)
+            or samples_per_pulse < 16):
+        raise ValueError(f"samples_per_pulse must be an integer >= 16, got {samples_per_pulse!r}")
+    return _reference_duration(seqs) / samples_per_pulse
+
+
 def _plan_sequence(sequence, samples_per_pulse, partners=()):
-    """Fixed-step CF4 plan of ``sequence`` on the cut it shares with
-    ``partners``: its TimeGrid, the per-step coefficients ``(cx, cy, dx, dy)``
-    and its instantaneous rotations as ``{node: (phase, flip_angle)}``.
-
-    The step is ``_reference_duration`` of the sequence and its partners over
-    ``samples_per_pulse``, so sequences planned as each other's partners
-    share a grid.
-    """
-    if samples_per_pulse < 16:
-        raise ValueError("samples_per_pulse must be >= 16")
+    """Node layout of ``sequence`` on the cut it shares with ``partners``, whose
+    step it shares: the TimeGrid, each piece as ``{first node: (last node,
+    segment, lo, hi)}`` with offsets into the segment, the instantaneous rotations
+    as ``{node: (phase, flip_angle)}`` (other nodes off the pieces copy the one
+    before) and the step."""
     seqs = (sequence, *partners)
+    h = _step(seqs, samples_per_pulse)
     edges, cut, instants = _common_cut(seqs)
-    h = _reference_duration(seqs) / samples_per_pulse
-
-    runs = []  # (dt, cx, cy, dx, dy) arrays, one tuple per run of steps
-    pieces, events = [], {}
-    node = 0
-    sep_needed = False  # insert a duplicate-node marker before the next piece
-    zero = np.zeros(1)
-
+    dts, pieces, spans, events, node = [], [], {}, {}, 0
     for i in range(len(edges)):
         here = instants.get(i, ())
-        own = [p for q, p in here if q == 0]
         # every sequence of the cut gets as many nodes here as the one with the
-        # most instantaneous pulses, so their pieces keep the same node spans
-        width = max(Counter(q for q, _ in here).values(), default=0)
-        for p in own:
-            # instantaneous rotation: one zero-duration step, no piece
-            runs.append((zero, np.array([p.flip_angle * math.cos(p.phase)]),
-                         np.array([p.flip_angle * math.sin(p.phase)]), zero, zero))
-            node += 1
-            events[node] = (p.phase, p.flip_angle)
-        for _ in range(width - len(own)):  # exact copies of the current node
-            runs.append((zero,) * 5)
-            node += 1
-        if width:
-            sep_needed = False
+        # most instantaneous pulses, so their pieces keep the same node spans;
+        # two pieces are always parted by at least one, a duplicate
+        width = max(Counter(q for q, _ in here).values(), default=0) or int(0 < i < len(cut))
+        events.update(enumerate(((p.phase, p.flip_angle) for q, p in here if q == 0), node + 1))
+        dts.append(np.zeros(width))
+        node += width
         if i == len(cut):
             break
         start, seg = cut[i][0]
@@ -157,57 +146,85 @@ def _plan_sequence(sequence, samples_per_pulse, partners=()):
         lo = edges[i] - start if i and cut[i - 1][0][0] == start else 0.0
         last = i + 1 == len(cut) or cut[i + 1][0][0] != start
         hi = seg.duration if last else edges[i + 1] - start
-        dur = hi - lo
-        if sep_needed:
-            runs.append((zero,) * 5)
-            node += 1
-        n = 2 * max(1, round(dur / (2 * h)))
-        hs = dur / n
-        if seg.kind == "delay":
-            still = np.zeros(n)
-            runs.append((np.full(n, hs), still, still, still, still))
-        else:
-            runs.append((np.full(n, hs), *_cf4_pulse(seg, seg.pulse.phase, lo, hs, n)))
+        n = 2 * max(1, round((hi - lo) / (2 * h)))
+        dts.append(np.full(n, (hi - lo) / n))
         pieces.append((node, node + n))
+        spans[node] = (node + n, seg, lo, hi)
         node += n
-        sep_needed = True
-
-    dt, cx, cy, dx, dy = (np.concatenate(col) for col in zip(*runs))
-    grid = TimeGrid(np.concatenate(([0.0], np.cumsum(dt))), tuple(pieces), sequence.duration)
-    return grid, (cx, cy, dx, dy), events
+    times = np.concatenate(([0.0], np.cumsum(np.concatenate(dts))))
+    return TimeGrid(times, tuple(pieces), sequence.duration), spans, events, h
 
 
-# ---------------------------------------------------------------------------
-# Propagation and traces
-# ---------------------------------------------------------------------------
-
-def propagate(sequence, samples_per_pulse=256, partners=(), unitarity_tol=1e-10):
-    """Control unitaries U_C(t_i) at every grid node.
-
-    Returns (TimeGrid, U) with U of shape (n_nodes, 2, 2).  Raises
-    IntegrationError if any node's unitarity defect exceeds ``unitarity_tol``
-    or is NaN.
-    ``partners`` are the other sequences on the same grid: the cut is taken
-    at every segment edge of the sequence and its partners, and the step
-    size from all of them (h = reference / samples_per_pulse).  Traces meant
-    to share a grid must pass each other as partners.  Partners of another
-    duration raise ValueError.
-    """
-    grid, coeffs, _ = _plan_sequence(sequence, samples_per_pulse, partners)
-    return grid, _chain(coeffs, unitarity_tol)
+def _turns(phase, angles):
+    """exp(-i a/2 (cos(phase) X + sin(phase) Y)) for each a in ``angles``."""
+    a = 0.5 * np.asarray(angles, dtype=float)
+    c, s = np.cos(a) + 0j, -1j * np.sin(a)
+    e = complex(math.cos(phase), math.sin(phase))
+    return np.stack((c, s * e.conjugate(), s * e, c), axis=-1).reshape(-1, 2, 2)
 
 
-def _chain(coeffs, unitarity_tol=1e-10):
-    """Unitaries from I after each CF4 step, checked as ``propagate`` says."""
-    out = np.empty((len(coeffs[0]) + 1, 2, 2), dtype=np.complex128)
-    out[0] = np.eye(2)
-    _kernels.su2_chain(*coeffs, out)
-    # U^dag U = |q|^2 I for every node, read off the first column
-    col = out[:, :, 0]
+def _phase0_turns(seg, lo, hi, n):
+    """Unitaries from I at the ``n + 1`` even offsets ``lo``..``hi`` into pulse
+    ``seg`` at phase 0: a closed-form turn if square, else the CF4 chain."""
+    if seg.pulse.shape.kind == "square":
+        return _turns(0.0, seg.pulse.flip_angle / seg.duration * np.linspace(0.0, hi - lo, n + 1))
+    V = np.empty((n + 1, 2, 2), dtype=np.complex128)
+    V[0] = np.eye(2)
+    _kernels.su2_chain(*_cf4_pulse(seg, 0.0, lo, (hi - lo) / n, n), V)
+    return V
+
+
+def _local(build, seg, lo, hi, n, h, cache):
+    """``build(seg, lo, hi, n)``, once per ``cache`` and (shape, flip angle,
+    duration, sub-interval, n): one shaped key samples the envelope 2n times."""
+    p = seg.pulse
+    # offsets on a 1e-9 h grid, so ones that differ by rounding share a chain
+    key = (p.shape, p.flip_angle, seg.duration, round(lo / h, 9), round(hi / h, 9), n)
+    if key not in cache:
+        cache[key] = build(seg, lo, hi, n)
+    return cache[key]
+
+
+def _unitary(U, unitarity_tol=1e-10):
+    """``U``, once no node's defect | |U00|^2 + |U10|^2 - 1 | exceeds ``unitarity_tol``."""
+    col = U[:, :, 0]
     defect = np.abs((col.real ** 2 + col.imag ** 2).sum(axis=1) - 1.0).max()
     if not defect <= unitarity_tol:  # written so that a NaN node also fails
         raise IntegrationError(f"unitarity defect {defect:.3e} exceeds {unitarity_tol:.1e}")
-    return out
+    return U
+
+
+def propagate(sequence, samples_per_pulse=256, partners=(), unitarity_tol=1e-10):
+    """Control unitaries U_C(t_i) at every grid node: (TimeGrid, U), U of shape
+    (n_nodes, 2, 2).  Raises IntegrationError if a node's unitarity defect
+    exceeds ``unitarity_tol`` or is NaN, ValueError for a tolerance that is not
+    finite and > 0.  ``partners`` are the other sequences on the same grid: the
+    cut is taken at every segment edge of the sequence and its partners, and
+    the step from all of them (h = reference / samples_per_pulse).  Traces
+    meant to share a grid must pass each other as partners.  Partners of
+    another duration raise ValueError.
+    """
+    _check_tol(unitarity_tol, "unitarity_tol")
+    grid, spans, events, h = _plan_sequence(sequence, samples_per_pulse, partners)
+    U = np.empty((len(grid.times), 2, 2), dtype=np.complex128)
+    U[0] = np.eye(2)
+    cache, k = {}, 0
+    while k + 1 < len(U):
+        if k in spans:  # a piece: V_loc(t) S from its start S
+            i1, seg, lo, hi = spans[k]
+            if seg.kind == "delay":
+                U[k + 1:i1 + 1] = U[k]
+            else:
+                V = _local(_phase0_turns, seg, lo, hi, i1 - k, h, cache)[1:]
+                e = complex(math.cos(seg.pulse.phase), math.sin(seg.pulse.phase))
+                # exp(-i phase Z/2) V exp(i phase Z/2): the turn at the pulse's phase
+                V = V * np.array([[1.0, e.conjugate()], [e, 1.0]])
+                np.matmul(V.reshape(-1, 2), U[k], out=U[k + 1:i1 + 1].reshape(-1, 2))
+            k = i1
+        else:  # an instantaneous rotation, or a copy
+            k += 1
+            U[k] = _turns(*events[k])[0] @ U[k - 1] if k in events else U[k - 1]
+    return grid, _unitary(U, unitarity_tol)
 
 
 def _adjoint_from_unitaries(U):
@@ -238,15 +255,13 @@ class ControlTrace:
 
     def uniform_view(self):
         """Deduplicated (t, R) on a uniform grid; requires a continuous trace."""
-        t = self.grid.times
-        R = self.R
+        t, R = self.grid.times, self.R
         dup = np.flatnonzero(np.diff(t) == 0.0)
         if dup.size and np.abs(R[dup + 1] - R[dup]).max() > 1e-9:
             raise ValueError("trace is discontinuous; no uniform view exists")
         keep = np.ones(len(t), dtype=bool)
         keep[dup + 1] = False
-        tu = t[keep]
-        Ru = R[keep]
+        tu, Ru = t[keep], R[keep]
         hs = np.diff(tu)
         if hs.size and (hs.max() - hs.min()) > 1e-9 * hs.max():
             raise ValueError("grid spacing is not uniform")
@@ -256,21 +271,13 @@ class ControlTrace:
         cols = ["t_s"] + [f"R_{AXES[m]}{AXES[a]}" for m in range(3) for a in range(3)]
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            for i, t in enumerate(self.grid.times):
-                row = [repr(float(t))] + [repr(float(self.R[i, m, a]))
-                                          for m in range(3) for a in range(3)]
-                fh.write(",".join(row) + "\n")
+            for t, r in zip(self.grid.times, self.R.reshape(-1, 9)):
+                fh.write(",".join(repr(float(x)) for x in (t, *r)) + "\n")
 
 
 def control_trace(sequence, samples_per_pulse=256, partners=()):
     grid, U = propagate(sequence, samples_per_pulse, partners)
-    R = _adjoint_from_unitaries(U)
-    return ControlTrace(grid, R)
-
-
-def _pi_rotation_adjoint(phase):
-    n = np.array([math.cos(phase), math.sin(phase), 0.0])
-    return 2.0 * np.outer(n, n) - np.eye(3)
+    return ControlTrace(grid, _adjoint_from_unitaries(U))
 
 
 def _axis_rotation_adjoint(phase, angle):
@@ -288,23 +295,13 @@ def bang_bang_trace(sequence, samples_per_pulse=256, partners=()):
     SU(2) propagator), so it serves as an analytic oracle for the numeric
     path in the limit of vanishing pulse width.
     """
-    for s in sequence.segments:
-        if s.kind == "pulse" and not s.pulse.shape.is_ideal:
-            raise ValueError("bang_bang_trace requires all pulses ideal")
-    grid, _, events = _plan_sequence(sequence, samples_per_pulse, partners)
-    n_nodes = len(grid.times)
-    R = np.empty((n_nodes, 3, 3))
-    frame = np.eye(3)
-    R[0] = frame
-    for i in range(1, n_nodes):
-        if i in events:
-            phase, angle = events[i]
-            if angle == math.pi:
-                rot = _pi_rotation_adjoint(phase)
-            else:
-                rot = _axis_rotation_adjoint(phase, angle)
-            frame = rot @ frame
-        R[i] = frame
+    if any(s.kind == "pulse" and not s.pulse.shape.is_ideal for s in sequence.segments):
+        raise ValueError("bang_bang_trace requires all pulses ideal")
+    grid, _, events, _ = _plan_sequence(sequence, samples_per_pulse, partners)
+    R = np.empty((len(grid.times), 3, 3))
+    R[0] = np.eye(3)
+    for i in range(1, len(R)):
+        R[i] = _axis_rotation_adjoint(*events[i]) @ R[i - 1] if i in events else R[i - 1]
     return ControlTrace(grid, R)
 
 
@@ -374,10 +371,12 @@ def paired_traces(schedule, samples_per_pulse=256, ideal=False):
     return tr, tb
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuppressionReport:
     """Per-entry first-order suppression verdicts for a schedule.
 
+    ``values[k]`` is the 3x3 error matrix named ``kinds[k]``, in seconds;
+    ``rows`` lists its entries with their verdicts, built on access.
     ``passed`` is the crosstalk verdict: every two-local ZZ entry below
     tol * tau_c.  One-local entries carry their own per-entry verdicts in
     ``rows`` (bounded pulses generically leave physical chi1 residuals, so an
@@ -386,7 +385,16 @@ class SuppressionReport:
 
     duration: float
     tol: float
-    rows: tuple  # (kind, alpha, beta, value, passed)
+    kinds: tuple
+    values: np.ndarray
+
+    @property
+    def rows(self):
+        """(kind, alpha, beta, value, passed) for every entry, kind by kind."""
+        bound = self.tol * self.duration
+        return tuple((kind, AXES[m], AXES[a], v, abs(v) <= bound)
+                     for kind, mat in zip(self.kinds, self.values.tolist())
+                     for m, row in enumerate(mat) for a, v in enumerate(row))
 
     @property
     def passed(self):
@@ -417,17 +425,28 @@ class SuppressionReport:
                 fh.write(f"{kind},{a},{b},{repr(float(v))},{str(bool(ok)).lower()}\n")
 
 
-def _check_tol(tol):
-    if not (math.isfinite(tol) and tol > 0):  # a NaN tol would fail every entry
-        raise ValueError(f"tol must be finite and > 0; got {tol}")
+def _check_tol(tol, name="tol"):
+    if not (math.isfinite(tol) and tol > 0):  # a NaN tol would fail every check
+        raise ValueError(f"{name} must be finite and > 0; got {tol}")
+
+
+def _local_chi(seg, lo, hi, n):
+    """(int R_loc dt, R_loc(end), Z rows of R_loc) of pulse ``seg`` from ``lo``
+    to ``hi`` at phase 0: a turn at constant rate if square, else the CF4 chain."""
+    t = np.linspace(0.0, hi - lo, n + 1)
+    if seg.pulse.shape.kind == "square":
+        th = seg.pulse.flip_angle / seg.duration * t
+        c, s, o, z = np.cos(th), np.sin(th), np.ones(n + 1), np.zeros(n + 1)
+        R = np.stack((o, z, z, z, c, -s, z, s, c), axis=-1).reshape(-1, 3, 3)
+    else:
+        R = _adjoint_from_unitaries(_unitary(_phase0_turns(seg, lo, hi, n)))
+    return _simpson_pieces(R, t, ((0, n),)), R[-1], R[:, 2]
 
 
 def _segment_chi(seqs, samples_per_pulse):
     """chi1 of each of ``seqs`` and chi2 of the first with the last, by segments."""
-    if samples_per_pulse < 16:
-        raise ValueError("samples_per_pulse must be >= 16")
+    h = _step(seqs, samples_per_pulse)
     edges, cut, instants = _common_cut(seqs)
-    h = _reference_duration(seqs) / samples_per_pulse
     frames, one, two, cache = [np.eye(3)] * len(seqs), [0.0] * len(seqs), 0.0, {}
     for i, row in enumerate(cut):
         for q, p in instants.get(i, ()):
@@ -441,18 +460,7 @@ def _segment_chi(seqs, samples_per_pulse):
                 continue
             p, lo = seg.pulse, max(edges[i] - start, 0.0)
             hi = min(edges[i + 1] - start, seg.duration)
-            # offsets on a 1e-9 h grid, so ones that differ by rounding share a chain
-            key = (p.shape, p.flip_angle, seg.duration, round(lo / h, 9), round(hi / h, 9), n)
-            if key not in cache:
-                t = np.linspace(0.0, hi - lo, n + 1)
-                if p.shape.kind == "square":
-                    th = p.flip_angle / seg.duration * t
-                    c, s, o, z = np.cos(th), np.sin(th), np.ones(n + 1), np.zeros(n + 1)
-                    R = np.stack((o, z, z, z, c, -s, z, s, c), axis=-1).reshape(-1, 3, 3)
-                else:
-                    R = _adjoint_from_unitaries(_chain(_cf4_pulse(seg, 0.0, lo, t[1], n)))
-                cache[key] = (_simpson_pieces(R, t, ((0, n),)), R[-1], R[:, 2])
-            L, E, Z = cache[key]
+            L, E, Z = _local(_local_chi, seg, lo, hi, n, h, cache)
             c, s = math.cos(p.phase), math.sin(p.phase)
             Q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
             local.append((Q @ L @ Q.T, Q @ E @ Q.T, Z @ Q.T))
@@ -481,14 +489,10 @@ def verify_first_order(obj, samples_per_pulse=256, tol=1e-8):
     else:
         raise TypeError("expected a Sequence or ColoredSchedule")
     one, two = _segment_chi(seqs, samples_per_pulse)
-    tau_c, rows = obj.duration, []
-    mats = [ErrorMatrix("one_local", v, tau_c) for v in one]  # each checks its bound
-    for kind, mat in zip(names + ("two_local",), mats + [ErrorMatrix("two_local", two, tau_c)]):
-        for m in range(3):
-            for a in range(3):
-                v = float(mat.values[m, a])
-                rows.append((kind, AXES[m], AXES[a], v, abs(v) <= tol * tau_c))
-    return SuppressionReport(tau_c, tol, tuple(rows))
+    kinds, values = names + ("two_local",), np.stack(one + [two])
+    for kind, v in zip(("one_local",) * len(one) + ("two_local",), values):
+        ErrorMatrix(kind, v, obj.duration)  # checks the cycle-duration bound
+    return SuppressionReport(obj.duration, tol, kinds, values)
 
 
 # ---------------------------------------------------------------------------
@@ -547,16 +551,12 @@ def classify_all(trace, tol=1e-6):
     if n % 2:
         raise ValueError("grid node count across the half-cycle must be even")
     half = n // 2
-    res = np.empty((3, 3, len(RELATIONS)))
-    for m in range(3):
-        for a in range(3):
-            y = R[:, m, a]
-            scale = max(_rms(y), 1e-300)
-            y0, y1 = y[: half + 1], y[half:]
-            rev = y[::-1]
-            res[m, a] = [_rms(d) / scale for d in (y1 - y0, y1 + y0, rev - y, rev + y)]
-    return SymmetryReport(res, tol)
-
-
-def _rms(d):
-    return math.sqrt(float(np.mean(d * d)))
+    y = R.reshape(-1, 9).T  # one row per component
+    y0, y1, rev = y[:, : half + 1], y[:, half:], y[:, ::-1]
+    buf = np.empty(y.shape)  # C order, so each mean is a pairwise sum along a row
+    rms = np.empty((9, 1 + len(RELATIONS)))
+    for k, (op, a, b) in enumerate(((np.multiply, y, 1.0), (np.subtract, y1, y0),
+                                    (np.add, y1, y0), (np.subtract, rev, y), (np.add, rev, y))):
+        d = op(a, b, out=buf[:, : a.shape[1]])
+        rms[:, k] = np.sqrt(np.mean(np.square(d, out=d), axis=1))
+    return SymmetryReport((rms[:, 1:] / np.maximum(rms[:, :1], 1e-300)).reshape(3, 3, -1), tol)

@@ -1,17 +1,18 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from crdd import _kernels
 from crdd.control import (
-    ControlTrace, GridMismatchError, IntegrationError, TimeGrid, _adjoint_from_unitaries,
-    bang_bang_trace, chi1, chi2, classify_symmetry, control_trace, paired_traces,
-    propagate, verify_first_order,
+    RELATIONS, ControlTrace, GridMismatchError, IntegrationError, TimeGrid,
+    _adjoint_from_unitaries, _cf4_pulse, bang_bang_trace, chi1, chi2, classify_all,
+    classify_symmetry, control_trace, paired_traces, propagate, verify_first_order,
 )
 from crdd.sequences import (
-    ColoredSchedule, PulseShape, PulseSpec, Segment, Sequence, cr_dd, named_phases, sim_dd,
-    sim_variant,
+    ColoredSchedule, PulseShape, PulseSpec, Segment, Sequence, _common_cut,
+    _reference_duration, cr_dd, named_phases, sim_dd, sim_variant,
 )
 
 PI = math.pi
@@ -76,8 +77,9 @@ class TestPropagate:
             out[len(out) // 2] = np.nan
 
         monkeypatch.setattr(_kernels, "su2_chain", nan_chain)
+        # a square pulse is a closed-form turn, so the chain runs only for a shaped one
         with pytest.raises(IntegrationError, match="nan"):
-            propagate(Sequence((Segment.for_pulse(0.0, 1.0, SQUARE),)), 32)
+            propagate(Sequence((Segment.for_pulse(0.0, 1.0, DRAG),)), 32)
 
     def test_ideal_pulse_with_non_pi_flip_angle(self):
         seq = Sequence((Segment.delay(1.0),
@@ -494,3 +496,171 @@ class TestNumericalInvariants:
         lines = path.read_text().splitlines()
         assert lines[0] == ("t_s,R_XX,R_XY,R_XZ,R_YX,R_YY,R_YZ,R_ZX,R_ZY,R_ZZ")
         assert len(lines) == 1 + len(tr.grid.times)
+
+
+def step_chain(sequence, samples_per_pulse, partners=()):
+    """Oracle for ``propagate``: every CF4 step of the cycle at its real drive
+    phase, delays as zero steps and ideal pulses as one-factor steps, chained
+    from I by ``su2_chain``.  Returns the node times, the pieces and U."""
+    seqs = (sequence, *partners)
+    edges, cut, instants = _common_cut(seqs)
+    h = _reference_duration(seqs) / samples_per_pulse
+    zero = np.zeros(1)
+    runs, pieces, node, sep = [], [], 0, False  # runs of (dt, cx, cy, dx, dy)
+    for i in range(len(edges)):
+        here = instants.get(i, ())
+        own = [p for q, p in here if q == 0]
+        width = max(Counter(q for q, _ in here).values(), default=0)
+        for p in own:
+            runs.append((zero, np.array([p.flip_angle * math.cos(p.phase)]),
+                         np.array([p.flip_angle * math.sin(p.phase)]), zero, zero))
+        runs += [(zero,) * 5] * (width - len(own))
+        node += width
+        sep = sep and not width
+        if i == len(cut):
+            break
+        start, seg = cut[i][0]
+        lo = edges[i] - start if i and cut[i - 1][0][0] == start else 0.0
+        last = i + 1 == len(cut) or cut[i + 1][0][0] != start
+        hi = seg.duration if last else edges[i + 1] - start
+        if sep:
+            runs.append((zero,) * 5)
+            node += 1
+        n = 2 * max(1, round((hi - lo) / (2 * h)))
+        hs = (hi - lo) / n
+        if seg.kind == "delay":
+            runs.append((np.full(n, hs),) + (np.zeros(n),) * 4)
+        else:
+            runs.append((np.full(n, hs), *_cf4_pulse(seg, seg.pulse.phase, lo, hs, n)))
+        pieces.append((node, node + n))
+        node += n
+        sep = True
+    dt, *coeffs = (np.concatenate(col) for col in zip(*runs))
+    U = np.empty((len(dt) + 1, 2, 2), dtype=complex)
+    U[0] = np.eye(2)
+    _kernels.su2_chain(*coeffs, U)
+    return np.concatenate(([0.0], np.cumsum(dt))), tuple(pieces), U
+
+
+class TestSegmentPropagation:
+    """propagate composes per-piece local turns; it must give the step chain."""
+
+    def assert_matches_step_chain(self, sequence, samples, partners=()):
+        grid, U = propagate(sequence, samples, partners)
+        times, pieces, want = step_chain(sequence, samples, partners)
+        assert np.array_equal(grid.times, times)
+        assert grid.pieces == pieces
+        assert np.abs(U - want).max() <= 1e-11
+
+    @pytest.mark.parametrize("shape", [SQUARE, GAUSS, DRAG, IDEAL], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("k, mode", [(1, "symmetric"), (2, "asymmetric")])
+    @pytest.mark.parametrize("name", ["XY4", "EDD", "KDD", "UR10", "UR12", "RGA64c"])
+    def test_catalog(self, name, k, mode, shape):
+        sched = cr_dd(name, tau_p=5.69e-8, shape=shape, k=k, mode=mode)
+        self.assert_matches_step_chain(sched.red, 32, (sched.blue,))
+        self.assert_matches_step_chain(sched.blue, 32, (sched.red,))
+
+    @pytest.mark.parametrize("shape", [SQUARE, GAUSS, DRAG, IDEAL], ids=lambda s: s.kind)
+    def test_sim_xy4_2(self, shape):
+        self.assert_matches_step_chain(sim_dd("XY4", 2, 5.69e-8, shape), 64)
+
+    @pytest.mark.parametrize("partner", [SQUARE, GAUSS, DRAG], ids=lambda s: s.kind)
+    def test_partner_edge_cuts_shaped_pulse(self, partner):
+        # the blue pulse starts inside the red DRAG pulse and ends after it
+        red = Sequence((Segment.delay(0.5), Segment.for_pulse(0.3, 1.0, DRAG),
+                        Segment.delay(1.5), Segment.for_pulse(2.0, 1.0, DRAG)))
+        blue = Sequence((Segment.delay(0.8), Segment.for_pulse(1.1, 1.0, partner),
+                         Segment.delay(1.7), Segment.for_pulse(-0.4, 0.5, partner)))
+        self.assert_matches_step_chain(red, 128, (blue,))
+        self.assert_matches_step_chain(blue, 128, (red,))
+
+    def test_envelope_sampled_twice_per_step_for_each_key(self, monkeypatch):
+        import crdd.control as control
+        sizes = []
+
+        def counting(shape, flip_angle, tau_p, t):
+            sizes.append(np.size(t))
+            return envelope_amplitude(shape, flip_angle, tau_p, t)
+
+        envelope_amplitude = control.envelope_amplitude
+        monkeypatch.setattr(control, "envelope_amplitude", counting)
+        seq = cr_dd("RGA64c", tau_p=5.69e-8, shape=DRAG).red
+        control_trace(seq, 64)
+        assert sum(s.kind == "pulse" for s in seq.segments) == 64
+        # the 64 pulses are one key, stepped n = 64 times: two Gauss nodes a step
+        assert sizes == [64, 64]
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_unusable_unitarity_tol(self, tol):
+        with pytest.raises(ValueError, match="unitarity_tol"):
+            propagate(Sequence((Segment.for_pulse(0.0, 1.0, SQUARE),)), 32, unitarity_tol=tol)
+
+    @pytest.mark.parametrize("samples", [16.5, 64.0, True])
+    def test_samples_per_pulse_must_be_an_integer_from_16(self, samples):
+        sched = cr_dd("XY4", tau_p=1.0, shape=DRAG)
+        with pytest.raises(ValueError, match="samples_per_pulse"):
+            propagate(sched.red, samples)
+        with pytest.raises(ValueError, match="samples_per_pulse"):
+            verify_first_order(sched, samples)
+
+    def test_numpy_integer_samples_accepted(self):
+        sched = cr_dd("XY4", tau_p=1.0, shape=DRAG)
+        assert np.array_equal(propagate(sched.red, np.int64(32))[1], propagate(sched.red, 32)[1])
+        assert verify_first_order(sched, np.int64(32)).passed
+
+
+def loop_classify(trace):
+    """Oracle for ``classify_all``: relative RMS residuals one component at a time."""
+    t, R = trace.uniform_view()
+    half = (len(t) - 1) // 2
+    res = np.empty((3, 3, len(RELATIONS)))
+    for m in range(3):
+        for a in range(3):
+            y = R[:, m, a]
+            rms = [math.sqrt(float(np.mean(d * d))) for d in
+                   (y, y[half:] - y[:half + 1], y[half:] + y[:half + 1], y[::-1] - y, y[::-1] + y)]
+            res[m, a] = [r / max(rms[0], 1e-300) for r in rms[1:]]
+    return res
+
+
+class TestCompactReports:
+    @pytest.mark.parametrize("shape", [SQUARE, DRAG], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("name", ["XY4", "RGA64c"])
+    def test_classify_all_matches_component_loop(self, name, shape):
+        sched = cr_dd(name, "UR12" if name == "XY4" else None, tau_p=5.69e-8, shape=shape)
+        for seq in (sched.red, sched.blue):
+            tr = control_trace(seq, 64)
+            want, got = loop_classify(tr), classify_all(tr).residuals
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+            assert np.array_equal(got <= 1e-6, want <= 1e-6)
+
+    @pytest.mark.parametrize("obj", [cr_dd("XY4", tau_p=1.0, shape=DRAG),
+                                     sim_dd("XY4", 2, 1.0, SQUARE)], ids=["cr", "sim"])
+    def test_suppression_report_rows_from_one_array(self, obj, tmp_path):
+        rep = verify_first_order(obj, 64, tol=1e-8)
+        assert rep.values.shape == (len(rep.kinds), 3, 3)
+        bound = 1e-8 * obj.duration
+        rows = tuple((kind, "XYZ"[m], "XYZ"[a], float(rep.values[k, m, a]),
+                      abs(float(rep.values[k, m, a])) <= bound)
+                     for k, kind in enumerate(rep.kinds) for m in range(3) for a in range(3))
+        assert rep.rows == rows
+        assert all(type(r[3]) is float and type(r[4]) is bool for r in rep.rows)
+        assert rep.passed == all(r[4] for r in rows if r[0] == "two_local")
+        assert rep.max_abs == max(abs(r[3]) for r in rows)
+        assert rep.max_relative == rep.max_abs / obj.duration
+        assert rep.two_local_max_relative == max(
+            abs(r[3]) for r in rows if r[0] == "two_local") / obj.duration
+        assert rep.failures() == [r for r in rows if not r[4]]
+        assert rep.two_local_failures() == [r for r in rows if r[0] == "two_local" and not r[4]]
+        rep.to_csv(tmp_path / "chi.csv")
+        want = "kind,alpha,beta,value_s,pass\n" + "".join(
+            f"{k},{a},{b},{v!r},{str(ok).lower()}\n" for k, a, b, v, ok in rows)
+        assert (tmp_path / "chi.csv").read_text() == want
+
+
+@pytest.mark.parametrize("axis", ["XY", "", "w", 3, "0"])
+def test_axis_names_are_one_letter_or_index(axis):
+    tr = control_trace(sim_dd("XY4", 1, 1.0, SQUARE), 32)
+    with pytest.raises(ValueError, match="axis must be one of X, Y, Z"):
+        tr.component(axis, "Z")
+    assert np.array_equal(tr.component("y", 2), tr.component(1, "Z"))

@@ -158,7 +158,7 @@ def _plan_sequence(sequence, samples_per_pulse, partners=()):
 def _turns(phase, angles):
     """exp(-i a/2 (cos(phase) X + sin(phase) Y)) for each a in ``angles``."""
     a = 0.5 * np.asarray(angles, dtype=float)
-    c, s = np.cos(a) + 0j, -1j * np.sin(a)
+    c, s = np.cos(a), -1j * np.sin(a)
     e = complex(math.cos(phase), math.sin(phase))
     return np.stack((c, s * e.conjugate(), s * e, c), axis=-1).reshape(-1, 2, 2)
 

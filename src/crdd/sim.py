@@ -1,14 +1,16 @@
 """Exact statevector simulation of DD schedules under static ZZ crosstalk and
 static 1-local fields, with shot-sampled survival probabilities.
 
-The Hamiltonian H(t) = H_C(t) + H_err is applied matrix-free: transverse drive
-and 1-local X/Y terms act qubit-wise, while the Z and ZZ sector enters through
-a precomputed diagonal.  A cycle is cut at every segment edge.  Where every
-qubit sits in a delay or a square pulse, H is constant on the cut interval and
-its propagator is applied exactly (a phase when H is diagonal, else a scaled
-Taylor series).  Intervals inside shaped envelopes take fixed-step RK4 with
-drive coefficients sampled one-sidedly per step, so envelopes never leak
-across segment boundaries.  Ideal pulses are exact instantaneous rotations.
+The Hamiltonian H(t) = H_C(t) + H_err is never stored as a matrix: transverse
+drive and 1-local X/Y terms act qubit-wise, while the Z and ZZ sector enters
+through a precomputed diagonal.  A cycle is cut at every segment edge.  Where
+every qubit sits in a delay or a square pulse, H is constant on the cut
+interval and its propagator is applied exactly (a phase when H is diagonal,
+else a scaled Taylor series).  Intervals inside shaped envelopes take
+fixed-step RK4 with drive coefficients sampled one-sidedly per step, so
+envelopes never leak across segment boundaries; RK4 on enough columns of a
+small system composes the transfer matrices of its steps (see ``evolve``).
+Ideal pulses are exact instantaneous rotations.
 
 Shaped intervals that differ only in the drive phases of their pulses share
 one propagator: a pulse of phase phi on qubit q is the phase-0 pulse
@@ -31,9 +33,9 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import IntegrationError
+from .control import _step
 from .sequences import (
-    QubitGraph, Segment, Sequence, _common_cut, _reference_duration, envelope_amplitude,
-    two_color,
+    QubitGraph, Segment, Sequence, _common_cut, envelope_amplitude, two_color,
 )
 
 __all__ = [
@@ -309,13 +311,10 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
     """
     n = device.n
     _check_capacity(n)
-    if samples_per_pulse < 16:
-        raise ValueError("samples_per_pulse must be >= 16")
+    h_target = _step(schedules, samples_per_pulse)
     edges, pieces, events = _common_cut(schedules)
     diag_bound = float(np.abs(diag).max())
     transverse = np.any(device.b[:, :2] != 0.0, axis=1)
-
-    h_target = _reference_duration(schedules) / samples_per_pulse
     tol = 1e-12 * schedules[0].duration  # key grid: the cut's merge tolerance
 
     def drive(segs, times, phased=True):
@@ -419,7 +418,10 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
     Intervals where every qubit sits in a delay or a square pulse have a
     constant Hamiltonian and are propagated exactly; intervals inside a shaped
     (gaussian or DRAG) envelope take fixed RK4 steps, of which
-    ``samples_per_pulse`` per longest pulse set the coarsest.  Shaped
+    ``samples_per_pulse`` per longest pulse set the coarsest.  An RK4
+    interval applied to at least ``dim`` columns with ``dim <= 32`` is the
+    ordered product of its steps' RK4 transfer matrices, built in chunks of
+    at most 2**12 amplitudes; otherwise the columns step matrix-free.  Shaped
     intervals that differ only in drive phase share a key (see
     ``_compile_cycle``).  A key used ``uses`` times over all repetitions is
     propagated once, on the identity, when that costs no more than
@@ -431,9 +433,14 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
     memory grows by that many dim^2 amplitudes; a statevector builds one only
     for a key it would otherwise propagate at least ``dim`` times.
     Raises IntegrationError when a column norm drifts beyond ``norm_tol`` or
-    turns NaN, and ValueError for a ``norm_tol`` that is not finite and > 0."""
+    turns NaN, and ValueError for a ``norm_tol`` that is not finite and > 0,
+    for ``repetitions`` that is not an integer >= 0 and for
+    ``samples_per_pulse`` that is not an integer >= 16."""
     if not (math.isfinite(norm_tol) and norm_tol > 0):
         raise ValueError(f"norm_tol must be finite and > 0; got {norm_tol}")
+    if (not isinstance(repetitions, numbers.Integral) or isinstance(repetitions, bool)
+            or repetitions < 0):
+        raise ValueError(f"repetitions must be an integer >= 0, got {repetitions!r}")
     device = device.colored()
     schedules = _normalize_schedules(device, schedules)
     diag = hamiltonian_diagonal(device)
@@ -521,7 +528,8 @@ def sample_survival(probs, shots, rng):
 def encode_decode_survival(state, device, schedules, repetitions, shots, seed,
                            samples_per_pulse=256):
     """Encode the product state, protect for ``repetitions`` cycles, decode,
-    and estimate the all-zeros survival probability from sampled shots."""
+    and estimate the all-zeros survival probability from sampled shots;
+    ``repetitions`` must be an integer >= 0 (see ``evolve``)."""
     device = device.colored()
     schedules = _normalize_schedules(device, schedules)
     enc = product_state(state.poles)

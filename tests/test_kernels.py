@@ -75,6 +75,19 @@ def dense_h(ax, ay, diag):
     return h
 
 
+def rk4_steps(psi, ax, ay, diag, h, reps):
+    """Classical RK4, one step at a time, on a copy of ``psi``."""
+    nq = ax.shape[2]
+    for _ in range(reps):
+        for s in range(len(h)):
+            k1 = _kernels.apply_h(psi, ax[s, 0], ay[s, 0], diag, nq)
+            k2 = _kernels.apply_h(psi + (0.5 * h[s]) * k1, ax[s, 1], ay[s, 1], diag, nq)
+            k3 = _kernels.apply_h(psi + (0.5 * h[s]) * k2, ax[s, 1], ay[s, 1], diag, nq)
+            k4 = _kernels.apply_h(psi + h[s] * k3, ax[s, 2], ay[s, 2], diag, nq)
+            psi = psi + (h[s] / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return psi
+
+
 class TestRk4Evolve:
     def test_apply_matches_dense(self):
         rng = np.random.default_rng(3)
@@ -86,6 +99,63 @@ class TestRk4Evolve:
         psi = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
         got = _kernels.apply_h(psi, ax, ay, diag, nq)
         assert np.abs(got - (-1j) * (dense_h(ax, ay, diag) @ psi)).max() < 1e-12
+
+    def test_apply_per_column_rates_matches_dense(self):
+        rng = np.random.default_rng(4)
+        nq = 3
+        dim = 1 << nq
+        ncol = 5
+        ax = rng.normal(size=(nq, ncol))
+        ay = rng.normal(size=(nq, ncol))
+        ax[1] = ay[1] = 0.0  # a qubit undriven in every column
+        ax[2, 3] = ay[2, 3] = 0.0  # and one undriven in one column only
+        ax[0] = 0.0  # a qubit driven along Y alone
+        diag = rng.normal(size=dim)
+        psi = rng.normal(size=(dim, ncol)) + 1j * rng.normal(size=(dim, ncol))
+        got = _kernels.apply_h(psi, ax, ay, diag, nq)
+        for c in range(ncol):
+            want = -1j * (dense_h(ax[:, c], ay[:, c], diag) @ psi[:, c])
+            assert np.abs(got[:, c] - want).max() < 1e-12, c
+
+    @pytest.mark.parametrize("nq, ncol, reps",
+                             [(1, 2, 1), (2, 4, 1), (3, 8, 1), (4, 16, 1), (5, 32, 1),
+                              (2, 1, 4), (4, 8, 2), (4, 16, 3)])
+    def test_transfer_product_matches_step_loop(self, nq, ncol, reps):
+        # 37 steps: several chunks at dim 16 and 32, an odd count in each
+        # product, and every qubit's rates zero over some whole chunk
+        rng = np.random.default_rng(100 * nq + ncol + reps)
+        dim = 1 << nq
+        ax, ay = rng.normal(size=(2, 37, 3, nq))
+        ax[:20, :, 0] = ay[:20, :, 0] = 0.0
+        ax[20:, :, -1] = ay[20:, :, -1] = 0.0
+        diag = rng.normal(size=dim)
+        h = rng.uniform(0.005, 0.02, 37)
+        psi = rng.normal(size=(dim, ncol)) + 1j * rng.normal(size=(dim, ncol))
+        psi /= np.linalg.norm(psi, axis=0)
+        got = psi.copy()
+        _kernels.rk4_evolve(got, ax, ay, diag, h, reps)
+        assert np.abs(got - rk4_steps(psi, ax, ay, diag, h, reps)).max() < 1e-13
+
+    @pytest.mark.parametrize("nq, ncol, reps, batched",
+                             [(4, 1, 1, False), (4, 15, 1, False), (4, 16, 1, True),
+                              (4, 8, 2, True), (5, 32, 1, True), (6, 64, 1, False)])
+    def test_path_follows_shape(self, monkeypatch, nq, ncol, reps, batched):
+        # transfer matrices only where the call propagates at least dim
+        # columns of a dim <= 32 system; the result is RK4 either way
+        calls = []
+        transfer = _kernels._rk4_transfer
+        monkeypatch.setattr(_kernels, "_rk4_transfer",
+                            lambda *args: calls.append(args) or transfer(*args))
+        rng = np.random.default_rng(nq + ncol)
+        dim = 1 << nq
+        ax, ay = rng.normal(size=(2, 3, 3, nq))
+        diag = rng.normal(size=dim)
+        h = np.full(3, 0.01)
+        psi = np.eye(dim, dtype=complex)[:, :ncol]
+        got = psi.copy()
+        _kernels.rk4_evolve(got, ax, ay, diag, h, reps)
+        assert len(calls) == batched
+        assert np.abs(got - rk4_steps(psi, ax, ay, diag, h, reps)).max() < 1e-13
 
 
 class TestExpmAction:

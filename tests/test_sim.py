@@ -143,6 +143,30 @@ class TestEvolveOracles:
         with pytest.raises(ValueError, match="norm_tol"):
             evolve(dev, idle_schedule(1.0), norm_tol=norm_tol)
 
+    @pytest.mark.parametrize("samples_per_pulse", [16.5, True])
+    def test_non_integral_samples_per_pulse(self, samples_per_pulse):
+        dev = DeviceModel.default(n=2)
+        cr = cr_dd("XY4", tau_p=dev.tau_p, shape=SQUARE)
+        with pytest.raises(ValueError, match="samples_per_pulse"):
+            cycle_propagator(dev, [cr.red, cr.blue], samples_per_pulse=samples_per_pulse)
+
+    @pytest.mark.parametrize("repetitions", [-2, -3, 2.5])
+    def test_unusable_repetitions(self, repetitions):
+        dev = DeviceModel.default(n=2)
+        cr = cr_dd("XY4", tau_p=dev.tau_p, shape=SQUARE)
+        state = StateSpec("type1", ("+x", "+x"), "type1_+x")
+        with pytest.raises(ValueError, match="repetitions"):
+            evolve(dev, [cr.red, cr.blue], repetitions=repetitions,
+                   psi0=product_state(state.poles))
+        with pytest.raises(ValueError, match="repetitions"):
+            encode_decode_survival(state, dev, [cr.red, cr.blue], repetitions, 100, 1)
+
+    def test_zero_repetitions_is_identity(self):
+        dev = DeviceModel.default(n=2)
+        cr = cr_dd("XY4", tau_p=dev.tau_p, shape=SQUARE)
+        psi0 = product_state(("+x", "-y"))
+        assert np.array_equal(evolve(dev, [cr.red, cr.blue], repetitions=0, psi0=psi0), psi0)
+
     def test_one_integration_error_class(self, monkeypatch):
         assert IntegrationError is control.IntegrationError
         expm_action = _kernels.expm_action

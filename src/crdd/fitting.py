@@ -2,10 +2,13 @@
 time-averaged survival.
 
 The decay model is f(t) = A exp(-gamma t) + c with A, c in [0, 1] and
-gamma >= 0.  Fitting is a bounded Levenberg-Marquardt iteration: damped
-normal-equation steps clamped to the bounds, with bound-active gradient
-components masked in the convergence check (projected gradient norm <= 1e-10
-or 500 iterations).
+gamma >= 0, fitted by variable projection (Golub & Pereyra 1973).  For fixed
+gamma the model is linear in (A, c), and the best (A, c) in [0, 1]^2 is the
+interior least-squares solution if feasible, else the best of the four edges.
+That leaves the profile RSS(gamma), scanned at gamma = 0 and 32 points per
+decade from 1e-4/t_max to 50/min(dt).  The best cell is then cut to float
+resolution at the sign change of the profile slope dRSS/dgamma =
+-2 A sum(t exp(-gamma t) r), with r the residuals at the best (A, c).
 
 The time average integrates the natural cubic spline through the trace in
 closed form.  With knots t_i, steps h_i = t_{i+1} - t_i and second
@@ -22,6 +25,7 @@ extended past the outer knots.  The module needs numpy only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,16 +34,11 @@ __all__ = [
     "FitResult", "BootstrapCI", "fit_decay", "bootstrap_mean_ci", "time_avg_survival",
 ]
 
-_LOWER = np.array([0.0, 0.0, 0.0])
-_UPPER = np.array([1.0, np.inf, 1.0])
-_GTOL = 1e-10
-_MAX_ITER = 500
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Fitted decay parameters; tau_gamma = 1/gamma (inf when gamma = 0,
-    flagged degenerate)."""
+    flagged zero_rate).  ``n_iter`` counts the decay rates at which the
+    profile was evaluated."""
 
     A: float
     gamma: float
@@ -62,10 +61,12 @@ def _as_arrays(points):
 
     An empty, 1-D or non-two-column trace is refused, and with it a ``(t, p)``
     pair of columns.  A 2 x 2 pair of columns cannot be told apart from two
-    rows and is read as rows."""
+    rows and is read as rows.  A non-finite t or p is refused."""
     arr = np.asarray(list(points), dtype=float)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] != 2:
         raise ValueError(f"trace must be (t, p) rows of shape (n, 2); got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("t and p must be finite")
     return arr[:, 0], arr[:, 1]
 
 
@@ -80,20 +81,40 @@ def _jacobian(params, t):
     return np.column_stack([e, -a * t * e, np.ones_like(t)])
 
 
-def _projected_gradient(params, grad):
-    pg = grad.copy()
-    at_lo = (params <= _LOWER + 1e-15) & (pg > 0)
-    at_hi = (params >= _UPPER - 1e-15) & (pg < 0)
-    pg[at_lo | at_hi] = 0.0
-    return pg
+def _ratio(num, den):
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def _profile(t, p, gamma):
+    """Best (A, c) in [0, 1]^2, RSS and dRSS/dgamma at each rate in ``gamma``.
+
+    The interior least-squares solution competes only where it is feasible;
+    the four edges A = 0, A = 1, c = 0 and c = 1 always compete, each with
+    its clipped one-variable solution.  RSS is summed from residuals."""
+    e = np.exp(-np.outer(gamma, t))
+    e_mean, p_mean = e.mean(axis=1), p.mean()
+    ec = e - e_mean[:, None]
+    a_in = _ratio(ec @ (p - p_mean), np.einsum("ij,ij->i", ec, ec))
+    c_in = p_mean - a_in * e_mean
+    ee, zero = np.einsum("ij,ij->i", e, e), np.zeros_like(gamma)
+    a = np.array([a_in, zero, zero + 1.0, _ratio(e @ p, ee), _ratio(e @ (p - 1.0), ee)])
+    c = np.array([c_in, zero + p_mean, p_mean - e_mean, zero, zero + 1.0])
+    a[1:], c[1:] = np.clip(a[1:], 0.0, 1.0), np.clip(c[1:], 0.0, 1.0)
+    resid = a[:, :, None] * e + c[:, :, None] - p
+    rss = np.einsum("kij,kij->ki", resid, resid)
+    rss[0, (a_in < 0.0) | (a_in > 1.0) | (c_in < 0.0) | (c_in > 1.0)] = np.inf
+    best, cols = np.argmin(rss, axis=0), np.arange(len(gamma))
+    a, r = a[best, cols], resid[best, cols]
+    return a, c[best, cols], rss[best, cols], -2.0 * a * np.einsum("ij,ij->i", t * e, r)
 
 
 def fit_decay(points):
-    """Fit A exp(-gamma t) + c to a trace of (t, p0) rows (see ``_as_arrays``).
-
-    Requires >= 4 points with strictly increasing nonnegative t.  All-equal
-    data returns a degenerate-flagged result with A = 0, gamma = 0, c = p.
-    """
+    """Fit A exp(-gamma t) + c to a trace of (t, p0) rows (see ``_as_arrays``)
+    by the global search of the module docstring.  Among equal RSS the
+    smallest gamma wins, so data that never decays gives gamma = 0, flagged
+    zero_rate.  Requires >= 4 points with strictly increasing nonnegative t.
+    All-equal data returns a degenerate-flagged result with A = 0, gamma = 0,
+    c = p."""
     t, p = _as_arrays(points)
     if len(t) < 4:
         raise ValueError("need at least 4 points")
@@ -103,49 +124,27 @@ def fit_decay(points):
         return FitResult(0.0, 0.0, float(p[0]), 0.0, (0.0, 0.0, 0.0),
                          flag="degenerate")
 
-    c0 = float(p.min())
-    a0 = float(p.max() - p.min())
-    half = max(2, len(t) // 2)
-    decayed = np.clip(p[:half] - c0, 1e-12, None)
-    slope = np.polyfit(t[:half], np.log(decayed), 1)[0]
-    g0 = max(-float(slope), 1e-12)
-    params = np.clip(np.array([a0, g0, c0]), _LOWER, np.minimum(_UPPER, 1e300))
-
-    lam = 1e-3
-    resid = _model(params, t) - p
-    cost = 0.5 * float(resid @ resid)
-    n_iter = 0
-    for n_iter in range(1, _MAX_ITER + 1):
-        jac = _jacobian(params, t)
-        grad = jac.T @ resid
-        if np.linalg.norm(_projected_gradient(params, grad)) <= _GTOL:
+    lo, hi = math.log10(1e-4 / t[-1]), math.log10(50.0 / np.diff(t).min())
+    gamma = np.append(0.0, np.logspace(lo, hi, math.ceil(32 * (hi - lo)) + 1))
+    seen = [(gamma, *_profile(t, p, gamma)[:3])]
+    k = int(np.argmin(seen[0][3]))
+    left, right = gamma[max(k - 1, 0)], gamma[min(k + 1, len(gamma) - 1)]
+    # Each round cuts the bracket 33-fold where the slope first turns
+    # nonnegative; 13 rounds (33**13 > 2**64) reach float resolution.
+    for _ in range(13):
+        mid = np.linspace(left, right, 34)[1:-1]
+        mid = mid[(mid > left) & (mid < right)]
+        if mid.size == 0:
             break
-        jtj = jac.T @ jac
-        improved = False
-        for _ in range(30):
-            damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-12))
-            try:
-                step = np.linalg.solve(damped, -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10
-                continue
-            cand = np.clip(params + step, _LOWER, _UPPER)
-            r_cand = _model(cand, t) - p
-            c_cand = 0.5 * float(r_cand @ r_cand)
-            if c_cand < cost:
-                params, resid, cost = cand, r_cand, c_cand
-                lam = max(lam / 3, 1e-14)
-                improved = True
-                break
-            lam *= 10
-        if not improved:
-            break
-
-    rss = 2.0 * cost
-    stderr = _standard_errors(params, t, rss)
-    a, g, c = (float(x) for x in params)
-    flag = "zero_rate" if g == 0.0 else "ok"
-    return FitResult(a, g, c, float(rss), stderr, flag=flag, n_iter=n_iter)
+        *fit, slope = _profile(t, p, mid)
+        seen.append((mid, *fit))
+        j = np.append(np.flatnonzero(slope >= 0.0), mid.size)[0]
+        left, right = np.concatenate(([left], mid, [right]))[j:j + 2]
+    g, a, c, rss = (np.concatenate(col) for col in zip(*seen))
+    i = np.lexsort((g, rss))[0]
+    stderr = _standard_errors((a[i], g[i], c[i]), t, rss[i])
+    return FitResult(float(a[i]), float(g[i]), float(c[i]), float(rss[i]), stderr,
+                     flag="zero_rate" if g[i] == 0.0 else "ok", n_iter=len(g))
 
 
 def _standard_errors(params, t, rss):
@@ -177,19 +176,20 @@ class BootstrapCI:
 
 def bootstrap_mean_ci(samples, resamples=10000, level=0.95, seed=0):
     """Percentile bootstrap of the mean with replacement, deterministic for a
-    given seed."""
+    given seed.  Needs an integer ``resamples`` >= 1 and ``level`` in (0, 1)."""
+    if (not isinstance(resamples, numbers.Integral) or isinstance(resamples, bool)
+            or resamples < 1):
+        raise ValueError(f"resamples must be an integer >= 1, got {resamples!r}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level!r}")
     x = np.asarray(list(samples), dtype=float)
     if x.size < 2:
         raise ValueError("need at least 2 samples")
     rng = np.random.default_rng(seed)
-    means = np.empty(resamples)
-    chunk = max(1, min(resamples, 2 ** 22 // max(x.size, 1)))
-    done = 0
-    while done < resamples:
-        m = min(chunk, resamples - done)
-        idx = rng.integers(0, x.size, size=(m, x.size))
-        means[done:done + m] = x[idx].mean(axis=1)
-        done += m
+    chunk = max(1, 2 ** 22 // x.size)  # resamples drawn per batch, for bounded memory
+    means = np.concatenate([
+        x[rng.integers(0, x.size, size=(min(chunk, resamples - done), x.size))].mean(axis=1)
+        for done in range(0, resamples, chunk)])
     alpha = (1.0 - level) / 2.0
     lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
     return BootstrapCI(float(x.mean()), float(lo), float(hi), level, resamples)
@@ -216,15 +216,13 @@ def time_avg_survival(points, T):
     """Time-averaged survival over [0, T]: natural cubic spline through the
     trace of (t, p) rows (see ``_as_arrays``), normalized by the initial
     probability, integrated exactly (see the module docstring).  Needs T
-    finite and > 0, at least 2 points with finite, strictly increasing t and
-    finite p, spanning [0, T]."""
+    finite and > 0, at least 2 points with strictly increasing t spanning
+    [0, T] (see ``_as_arrays``)."""
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"T must be finite and > 0; got {T}")
     t, p = _as_arrays(points)
     if len(t) < 2:
         raise ValueError("need at least 2 points")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
-        raise ValueError("t and p must be finite")
     if np.any(np.diff(t) <= 0):
         raise ValueError("t must be strictly increasing")
     if t[0] > 1e-12 * max(T, 1.0) or t[-1] < T * (1 - 1e-12):

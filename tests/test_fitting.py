@@ -13,6 +13,19 @@ def model_points(A, g, c, t):
     return list(zip(t, A * np.exp(-g * np.asarray(t)) + c))
 
 
+def scipy_multistart_rss(t, p):
+    """Lowest RSS of bounded scipy least_squares fits from 8 decay-rate starts."""
+    from scipy.optimize import least_squares
+    best = math.inf
+    for g0 in np.logspace(-4, 1, 8):
+        sol = least_squares(lambda x: fitting._model(x, t) - p, [0.5, g0, 0.1],
+                            jac=lambda x: fitting._jacobian(x, t),
+                            bounds=([0.0, 0.0, 0.0], [1.0, np.inf, 1.0]),
+                            x_scale=[1.0, g0, 1.0], ftol=1e-15, xtol=1e-15, gtol=1e-15)
+        best = min(best, 2.0 * sol.cost)
+    return best
+
+
 class TestFitDecay:
     def test_noiseless_recovery(self):
         t = np.arange(0.0, 55.0, 5.0)
@@ -69,22 +82,27 @@ class TestFitDecay:
         assert fit.flag == "ok"
 
     def test_matches_scipy_multistart(self):
-        from scipy.optimize import least_squares
         t = np.concatenate(([0.0], 2.0 ** np.arange(10)))
         rng = np.random.default_rng(21)
         # at noise 0.2 and 0.5 some of these traces have two local minima
         for sigma in (0.05, 0.2, 0.5) * 3:
             A, g, c = rng.uniform(0.2, 1.0), 10.0 ** rng.uniform(-2.5, 0.0), rng.uniform(0.0, 0.4)
             p = np.clip(A * np.exp(-g * t) + c + rng.normal(0, sigma, len(t)), 0.0, 1.0)
-            fit = fit_decay(list(zip(t, p)))
-            best = math.inf
-            for g0 in np.logspace(-4, 1, 8):
-                sol = least_squares(lambda x: fitting._model(x, t) - p, [0.5, g0, 0.1],
-                                    jac=lambda x: fitting._jacobian(x, t),
-                                    bounds=([0.0, 0.0, 0.0], [1.0, np.inf, 1.0]),
-                                    x_scale=[1.0, g0, 1.0], ftol=1e-15, xtol=1e-15, gtol=1e-15)
-                best = min(best, 2.0 * sol.cost)
-            assert abs(fit.rss - best) <= 1e-9 * best
+            best = scipy_multistart_rss(t, p)
+            assert abs(fit_decay(list(zip(t, p))).rss - best) <= 1e-9 * best
+
+    @pytest.mark.parametrize("A, g, c, pinned", [
+        (0.5, 0.1, 1.2, {"c": 1.0}),
+        (1.4, 0.1, -0.1, {"A": 1.0, "c": 0.0}),
+    ], ids=["c_at_one", "A_at_one_c_at_zero"])
+    def test_pinned_bounds_match_scipy(self, A, g, c, pinned):
+        t = np.arange(0.0, 55.0, 5.0)
+        p = A * np.exp(-g * t) + c
+        fit = fit_decay(list(zip(t, p)))
+        for name, value in pinned.items():
+            assert getattr(fit, name) == value
+        best = scipy_multistart_rss(t, p)
+        assert abs(fit.rss - best) <= 1e-9 * best
 
     def test_refit_is_stable(self):
         t = np.arange(0.0, 60.0, 4.0)

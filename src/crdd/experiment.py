@@ -20,9 +20,10 @@ import numpy as np
 
 from .fitting import fit_decay
 from .sequences import PulseShape, canonical_name, cr_dd, sim_dd
-from .sim import (POLES, DeviceModel, SurvivalPoint, SurvivalRecord, decode_probabilities,
-                  idle_schedule, cycle_propagator, prepare_states, product_state,
-                  sample_survival, shot_rng)
+from .sim import (POLES, DeviceModel, SurvivalPoint, SurvivalRecord, idle_schedule,
+                  cycle_propagator, prepare_states, product_state, sample_survival,
+                  shot_rng, survival_probability)
+from .sim import decode_probabilities  # noqa: F401 - unused; perfbench wraps this name
 
 __all__ = [
     "AlignmentError", "MethodSpec", "parse_method", "schedule_points",
@@ -314,10 +315,11 @@ def run_experiment(plan, out_path=None):
             emb_id = "-".join(str(v) for v in emb)
             states = prepare_states(len(emb), plan.count_type1, plan.count_type2,
                                     plan.states_seed)
+            encs = np.column_stack([product_state(st.poles) for st in states])
             for m_idx, spec in enumerate(specs):
                 try:
                     cells = _run_method_cells(plan, sub, spec, points[spec.label],
-                                              states, e_idx, m_idx)
+                                              encs, e_idx, m_idx)
                 except Exception as exc:  # noqa: BLE001 - skip-and-log policy
                     failures.append((emb_id, spec.label, repr(exc)))
                     continue
@@ -343,37 +345,27 @@ def run_experiment(plan, out_path=None):
     return result
 
 
-def _run_method_cells(plan, sub, spec, method_points, states, e_idx, m_idx):
+def _run_method_cells(plan, sub, spec, method_points, encs, e_idx, m_idx):
     """Survival points for every (state, duration) of one method on one
-    embedding; returns a list of point lists indexed like ``states``."""
-    n = sub.n
-    dim = 1 << n
-    encs = [product_state(st.poles) for st in states]
-    cells = [[] for _ in states]
+    embedding, one point list per column (encoded state) of ``encs``; every
+    state's p0 at a duration comes from one ``U @ encs`` product."""
     if spec.kind == "idle":
-        for d_idx, (_, dur, pulses) in enumerate(method_points):
-            u = cycle_propagator(sub, idle_schedule(dur),
-                                 samples_per_pulse=plan.samples_per_pulse)
-            _collect(plan, states, encs, u, dur, pulses, cells, e_idx, m_idx, d_idx)
-        return cells
-    builder = spec.build(sub.tau_p, plan.shape, coloring=sub.graph.coloring)
-    schedules = builder(n)
-    u_cycle = cycle_propagator(sub, schedules, samples_per_pulse=plan.samples_per_pulse)
-    cache = [u_cycle]
-    for d_idx, (cycles, dur, pulses) in enumerate(method_points):
-        u = _binary_power(u_cycle, cache, cycles)
-        _collect(plan, states, encs, u, dur, pulses, cells, e_idx, m_idx, d_idx)
+        props = (cycle_propagator(sub, idle_schedule(dur),
+                                  samples_per_pulse=plan.samples_per_pulse)
+                 for _, dur, _ in method_points)
+    else:
+        schedules = spec.build(sub.tau_p, plan.shape, coloring=sub.graph.coloring)(sub.n)
+        u_cycle = cycle_propagator(sub, schedules, samples_per_pulse=plan.samples_per_pulse)
+        cache = [u_cycle]
+        props = (_binary_power(u_cycle, cache, cycles) for cycles, _, _ in method_points)
+    cells = [[] for _ in range(encs.shape[1])]
+    for d_idx, (u, (_, dur, pulses)) in enumerate(zip(props, method_points)):
+        p0 = survival_probability(encs, u @ encs)
+        for s_idx, cell in enumerate(cells):
+            rng = shot_rng(plan.seed, e_idx, (m_idx << 32) | s_idx, d_idx)
+            zeros = sample_survival((p0[s_idx], 1.0 - p0[s_idx]), plan.shots, rng)
+            cell.append(SurvivalPoint(dur, pulses, plan.shots, zeros, zeros / plan.shots))
     return cells
-
-
-def _collect(plan, states, encs, u, dur, pulses, cells, e_idx, m_idx, d_idx):
-    for s_idx, state in enumerate(states):
-        psi = u @ encs[s_idx]
-        probs = decode_probabilities(psi, state.poles)
-        rng = shot_rng(plan.seed, e_idx, (m_idx << 32) | s_idx, d_idx)
-        zeros = sample_survival(probs, plan.shots, rng)
-        cells[s_idx].append(SurvivalPoint(dur, pulses, plan.shots, zeros,
-                                          zeros / plan.shots))
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,9 @@ class BootstrapCI:
     resamples: int
 
     def __post_init__(self):
-        if not (self.lower <= self.mean <= self.upper):
-            raise ValueError("bootstrap interval must bracket the mean")
+        # a percentile interval need not bracket the sample mean
+        if not self.lower <= self.upper:
+            raise ValueError("bootstrap interval needs lower <= upper")
 
     def covers(self, value):
         return self.lower <= value <= self.upper

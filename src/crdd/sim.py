@@ -515,14 +515,25 @@ def shot_rng(*key):
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
+def survival_probability(encoded, evolved):
+    """All-zeros probability after decoding, per column of ``(dim,)`` or
+    ``(dim, S)`` arrays: decoding inverts the encoding, so for an encoded
+    state psi evolved to U psi the survival is ``|<psi|U|psi>|^2``."""
+    return np.abs((np.conj(encoded) * evolved).sum(axis=0)) ** 2
+
+
 def sample_survival(probs, shots, rng):
-    """Draw computational-basis bitstrings and count the all-zeros outcome."""
+    """All-zeros count of ``shots`` categorical draws: the uniforms ``rng.choice``
+    would draw, counted below outcome 0's cumulative share.  Negative rounding
+    is clipped; NaN, infinite or all-zero probabilities raise ValueError."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p = np.clip(np.asarray(probs, dtype=float).ravel(), 0.0, None)
-    p = p / p.sum()
-    draws = rng.choice(p.size, size=shots, p=p)
-    return int(np.count_nonzero(draws == 0))
+    p = np.maximum(np.asarray(probs, dtype=float).ravel(), 0.0)
+    total = p.sum()
+    if not (math.isfinite(total) and total > 0):
+        raise ValueError(f"probabilities must be finite and not all zero (sum {total})")
+    cdf = np.cumsum(p / total)
+    return int(np.count_nonzero(rng.random(shots) < cdf[0] / cdf[-1]))
 
 
 def encode_decode_survival(state, device, schedules, repetitions, shots, seed,
@@ -535,9 +546,9 @@ def encode_decode_survival(state, device, schedules, repetitions, shots, seed,
     enc = product_state(state.poles)
     psi = evolve(device, schedules, repetitions=repetitions, psi0=enc,
                  samples_per_pulse=samples_per_pulse)
-    probs = decode_probabilities(psi, state.poles)
+    p0 = survival_probability(enc, psi)
     rng = shot_rng(seed) if isinstance(seed, numbers.Integral) else shot_rng(*seed)
-    zeros = sample_survival(probs, shots, rng)
+    zeros = sample_survival((p0, 1.0 - p0), shots, rng)
     duration = schedules[0].duration * repetitions
     pulses = schedules[0].pulse_count * repetitions
     return SurvivalPoint(duration, pulses, shots, zeros, zeros / shots)

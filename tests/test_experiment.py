@@ -9,7 +9,10 @@ from crdd.experiment import (
     schedule_points, summarize, write_fits_csv, write_results_csv,
 )
 from crdd.sequences import PulseShape, QubitGraph, two_color
-from crdd.sim import DeviceModel, SurvivalPoint, SurvivalRecord
+from crdd.sim import (
+    DeviceModel, SurvivalPoint, SurvivalRecord, cycle_propagator, decode_probabilities,
+    idle_schedule, prepare_states, product_state, shot_rng,
+)
 
 
 def tiny_plan(**overrides):
@@ -199,6 +202,86 @@ class TestRunExperiment:
         assert {r[0] for r in res.rows()} == {"CR-XY4"}
         # completeness: cells = embeddings x states x surviving methods x durations
         assert len(res.rows()) == 1 * 2 * 1 * 3
+
+
+def per_cell_readout(plan, result):
+    """Every cell of ``result`` recomputed on its own: encode the state,
+    apply the duration's propagator, decode all basis probabilities and draw
+    the shots with ``rng.choice`` under the cell's key; maps (method,
+    embedding, state, duration index) to (zeros, p0)."""
+    device = plan.device.colored()
+    out = {}
+    for e_idx, emb in enumerate(plan.embeddings):
+        sub = device.subdevice(emb)
+        emb_id = "-".join(str(v) for v in emb)
+        states = prepare_states(len(emb), plan.count_type1, plan.count_type2,
+                                plan.states_seed)
+        for m_idx, label in enumerate(plan.methods):
+            spec = parse_method(label)
+            points = next(r.points for r in result.records
+                          if (r.method, r.embedding_id) == (label, emb_id))
+            if spec.kind != "idle":
+                schedules = spec.build(sub.tau_p, plan.shape,
+                                       coloring=sub.graph.coloring)(sub.n)
+                u_cycle = cycle_propagator(sub, schedules,
+                                           samples_per_pulse=plan.samples_per_pulse)
+            for d_idx, pt in enumerate(points):
+                if spec.kind == "idle":
+                    u = cycle_propagator(sub, idle_schedule(pt.duration_s),
+                                         samples_per_pulse=plan.samples_per_pulse)
+                else:
+                    u = np.linalg.matrix_power(
+                        u_cycle, pt.pulses_applied // schedules[0].pulse_count)
+                for s_idx, state in enumerate(states):
+                    probs = decode_probabilities(u @ product_state(state.poles), state.poles)
+                    rng = shot_rng(plan.seed, e_idx, (m_idx << 32) | s_idx, d_idx)
+                    p = np.clip(probs, 0.0, None)
+                    p = p / p.sum()
+                    draws = rng.choice(p.size, size=plan.shots, p=p)
+                    zeros = int(np.count_nonzero(draws == 0))
+                    out[(label, emb_id, state.label, d_idx)] = (zeros, zeros / plan.shots)
+    return out
+
+
+class TestReadout:
+    @pytest.mark.parametrize("methods, shape", [
+        (("IDLE", "SIM-XY4-2", "CR-XY4"), PulseShape.square()),
+        (("CR-(XY4,UR12)",), PulseShape.gaussian_drag()),
+    ], ids=["square", "drag"])
+    def test_cells_equal_per_cell_decode_and_choice(self, methods, shape):
+        # a stronger coupling than the default device's, so survival decays
+        device = DeviceModel.default(n=2, j_tau_p=0.05, seed=5)
+        plan = tiny_plan(device=device, methods=methods, shape=shape,
+                         target_pulses=4 * 2 ** 7, spacing="log2", shots=200,
+                         count_type1=6, count_type2=4)
+        res = run_experiment(plan)
+        assert not res.failures
+        got = {(r.method, r.embedding_id, r.state_id, d_idx): (pt.zero_count, pt.p0_estimate)
+               for r in res.records for d_idx, pt in enumerate(r.points)}
+        assert got == per_cell_readout(plan, res)
+
+    def test_default_plan_decodes_nothing_and_encodes_once(self, monkeypatch):
+        import crdd.experiment as exp
+        import crdd.sim as sim
+
+        calls = {"decode": 0, "encode": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (exp, sim):
+            monkeypatch.setattr(mod, "decode_probabilities",
+                                counted("decode", mod.decode_probabilities))
+        monkeypatch.setattr(exp, "product_state", counted("encode", exp.product_state))
+        plan = default_plan()
+        res = run_experiment(plan)
+        assert not res.failures
+        assert calls["decode"] == 0
+        states = prepare_states(4, plan.count_type1, plan.count_type2, plan.states_seed)
+        assert calls["encode"] == len(plan.embeddings) * len(states) == 20
 
 
 class TestFitsAndSummary:

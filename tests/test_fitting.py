@@ -191,6 +191,12 @@ class TestBootstrap:
         b = bootstrap_mean_ci(samples, seed=7)
         assert (a.lower, a.upper) == (b.lower, b.upper)
 
+    def test_percentile_interval_need_not_bracket_the_mean(self):
+        samples = np.random.default_rng(1000).uniform(size=1000)
+        ci = bootstrap_mean_ci(samples, resamples=1, level=0.5, seed=2)
+        assert ci.lower == ci.upper
+        assert not ci.covers(ci.mean)
+
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             bootstrap_mean_ci([1.0])

@@ -293,7 +293,40 @@ class TestSharedPhasePropagators:
         assert np.abs(psi - np.linalg.matrix_power(u, 3) @ psi0).max() < 1e-12
 
 
+def choice_survival(probs, shots, rng):
+    """The categorical draw ``sample_survival`` must reproduce: normalize,
+    draw ``shots`` outcomes with ``rng.choice`` and count the all-zeros one."""
+    p = np.clip(np.asarray(probs, dtype=float).ravel(), 0.0, None)
+    p = p / p.sum()
+    draws = rng.choice(p.size, size=shots, p=p)
+    return int(np.count_nonzero(draws == 0))
+
+
 class TestSurvival:
+    @pytest.mark.parametrize("size", [1, 2, 16, 1024])
+    def test_counts_equal_categorical_draw(self, size):
+        gen = np.random.default_rng(size)
+        for i in range(2000):
+            p = gen.uniform(size=size) ** 3
+            p[gen.integers(0, size, size // 4)] = 0.0  # zero entries
+            if i % 3 == 0:
+                p[gen.integers(0, size)] = -1e-17  # negative rounding
+            if i % 7 == 0 and size == 2:
+                p = np.array([1.0 + 2e-16, -2e-16])  # (p0, 1 - p0) just past 1
+            if not p.max() > 0:
+                p[-1] = 1.0
+            shots = int(gen.integers(1, 400))
+            got = sample_survival(p, shots, shot_rng(17, size, i))
+            assert got == choice_survival(p, shots, shot_rng(17, size, i)), (size, i)
+
+    @pytest.mark.parametrize("probs, shots", [
+        ([math.nan, 0.5], 10), ([0.5, math.inf], 10), ([0.0, 0.0], 10),
+        ([0.0, -1e-17], 10), ([0.5, 0.5], 0), ([0.5, 0.5], -2),
+    ], ids=["nan", "inf", "all_zero", "zero_and_negative", "no_shots", "negative_shots"])
+    def test_refuses_unusable_input(self, probs, shots):
+        with pytest.raises(ValueError):
+            sample_survival(probs, shots, shot_rng(5))
+
     def test_zero_noise_unit_survival(self):
         dev = two_qubit_device(0.0)
         sched = cr_dd("XY4", tau_p=1.0, shape=SQUARE)

@@ -15,12 +15,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import control, report
 from .sequences import ColoredSchedule, PulseShape, Sequence, cr_dd, build_named, pad
-from .experiment import (ExperimentPlan, default_plan, fit_dataset, read_fits_csv,
-                         read_results_csv, run_experiment, summarize,
+from .experiment import (ExperimentPlan, default_plan, fit_dataset, mean_by_duration,
+                         read_fits_csv, read_results_csv, run_experiment, summarize,
                          write_fits_csv)
 
 
@@ -237,15 +235,8 @@ def _cmd_report(verb, rest):
     rows = read_results_csv(args.results)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    series = []
-    methods = sorted({r["method"] for r in rows})
-    for m in methods:
-        by_dur = {}
-        for r in rows:
-            if r["method"] == m:
-                by_dur.setdefault(r["duration_s"], []).append(r["p0"])
-        durs = sorted(by_dur)
-        series.append((m, durs, [float(np.mean(by_dur[d])) for d in durs]))
+    series = [(m, *mean_by_duration([r for r in rows if r["method"] == m]))
+              for m in sorted({r["method"] for r in rows})]
     survival_path = os.path.join(args.out_dir, "survival.svg")
     _write_text(survival_path,
                 report.svg_line_plot(series, title="Mean survival probability",

@@ -28,7 +28,7 @@ from .sim import decode_probabilities  # noqa: F401 - unused; perfbench wraps th
 __all__ = [
     "AlignmentError", "MethodSpec", "parse_method", "schedule_points",
     "ExperimentPlan", "default_plan", "run_experiment", "ExperimentResult",
-    "fit_dataset", "FitRow", "summarize", "SummaryTable", "path_embeddings",
+    "fit_dataset", "mean_by_duration", "FitRow", "summarize", "SummaryTable", "path_embeddings",
     "write_results_csv", "read_results_csv", "write_fits_csv", "read_fits_csv",
 ]
 
@@ -427,6 +427,15 @@ class FitRow:
     flag: str
 
 
+def mean_by_duration(rows):
+    """Sorted durations of ``rows`` and the mean p0 at each."""
+    by_dur = {}
+    for r in rows:
+        by_dur.setdefault(r["duration_s"], []).append(r["p0"])
+    durs = sorted(by_dur)
+    return durs, [float(np.mean(by_dur[d])) for d in durs]
+
+
 def fit_dataset(rows):
     """Fit the state-averaged survival trace per (method, embedding)."""
     groups = {}
@@ -434,12 +443,7 @@ def fit_dataset(rows):
         groups.setdefault((r["method"], r["embedding_id"]), []).append(r)
     out = []
     for (method, emb), items in sorted(groups.items()):
-        by_dur = {}
-        for r in items:
-            by_dur.setdefault(r["duration_s"], []).append(r["p0"])
-        durs = sorted(by_dur)
-        mean_p = [float(np.mean(by_dur[d])) for d in durs]
-        fit = fit_decay(list(zip(durs, mean_p)))
+        fit = fit_decay(list(zip(*mean_by_duration(items))))
         out.append(FitRow(method, emb, fit.A, fit.gamma, fit.c,
                           fit.tau_gamma, fit.rss, fit.flag))
     return out
@@ -471,6 +475,8 @@ class SummaryTable:
                     for row in self.rows))
 
     def ratio(self, base, column):
+        if column not in ("sim_over_idle", "cr_over_sim"):
+            raise ValueError(f"column must be sim_over_idle or cr_over_sim, got {column!r}")
         for row in self.rows:
             if row[1] == base:
                 return row[6] if column == "sim_over_idle" else row[7]

@@ -12,13 +12,15 @@ envelopes never leak across segment boundaries; RK4 on enough columns of a
 small system composes the transfer matrices of its steps (see ``evolve``).
 Ideal pulses are exact instantaneous rotations.
 
-Shaped intervals that differ only in the drive phases of their pulses share
-one propagator: a pulse of phase phi on qubit q is the phase-0 pulse
-conjugated by exp(-i phi Z_q / 2), and that rotation commutes with the Z/ZZ
-diagonal (the virtual-Z identity, McKay et al., PRA 96, 022330 (2017)).  When
-no pulsing qubit has a static X/Y field, each distinct interval is propagated
-once at phase 0 on the identity and reused through a diagonal conjugation,
-wherever that is cheaper than integrating every occurrence.
+Pulsed intervals, square or shaped, that differ only in the drive phases of
+their pulses share one propagator: a pulse of phase phi on qubit q is the
+phase-0 pulse conjugated by exp(-i phi Z_q / 2), and that rotation commutes
+with the Z/ZZ diagonal (the virtual-Z identity, McKay et al., PRA 96, 022330
+(2017)).  Every interval is applied as D P D^dag, D that diagonal rotation
+and P its phase-0 propagator: built once on the identity and reused wherever
+that is cheaper than propagating every occurrence, else propagated on the
+rotated columns.  Delay-only intervals, and those where a pulsing qubit has
+a static X/Y field, run at their real phases with D = 1.
 
 Statevector dimension is capped at n = 14 qubits (dense representation).
 """
@@ -290,24 +292,23 @@ _STEP_ANGLE_CAP = 6e-3
 
 
 def _compile_cycle(device, schedules, samples_per_pulse, diag):
-    """One cycle as time-ordered spans:
+    """One cycle as time-ordered spans ``(kind, key, phis, ...)``:
 
-    * ``("rot", [(q, phase, angle), ...])``: instantaneous rotations;
-    * ``("exact", t, ax, ay)``: an interval on which every qubit sits in a
-      delay or a square pulse, so H is constant with rates ``ax, ay`` (n,);
-    * ``("rk4", h, ax, ay, key, phis)``: an interval with a shaped envelope,
-      in RK4 steps ``h`` with rates (nsteps, 3, n) sampled at each step's
-      start, midpoint and end.
+    * ``("rot", None, None, [(q, phase, angle), ...])``: ideal rotations;
+    * ``("exact", key, phis, t, ax, ay)``: every qubit sits in a delay or a
+      square pulse, so H is constant with rates ``ax, ay`` (n,) for ``t``;
+    * ``("rk4", key, phis, h, ax, ay)``: a shaped envelope, in RK4 steps
+      ``h`` with rates (nsteps, 3, n) at each step's start, midpoint and end.
 
-    A shaped interval whose pulsing qubits (those in a pulse segment) carry
-    no static X/Y field is keyed by its length and, per pulsing qubit,
-    ``(q, shape, flip_angle, segment duration, offset into the segment)``,
-    with lengths on the ``tol`` grid.  Its rates are those of the phase-0
-    pulses, one table set per key shared by every span of that key, and
-    ``phis`` (n,) holds the drive phase of each pulsing qubit (0 elsewhere):
-    the interval's propagator is the key's conjugated by
-    ``exp(-i/2 sum_q phis_q Z_q)``, which commutes with the Z/ZZ diagonal.
-    Otherwise ``key`` is None and the rates carry the real phases.
+    An interval in which some qubit pulses and no pulsing qubit carries a
+    static X/Y field, square or shaped, is keyed by its length and, per
+    pulsing qubit, ``(q, shape, flip_angle, segment duration, offset into
+    the segment)``, lengths on the ``tol`` grid.  Its rates are the phase-0
+    pulses', sampled once per key, and ``phis`` (n,) holds each pulsing
+    qubit's drive phase (0 elsewhere): its propagator is the key's
+    conjugated by ``exp(-i/2 sum_q phis_q Z_q)``, which commutes with the
+    Z/ZZ diagonal.  Otherwise ``key`` is None, ``phis`` is 0 and the rates
+    carry the real phases.
     """
     n = device.n
     _check_capacity(n)
@@ -338,7 +339,12 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
             ay[..., q] += device.b[q, 1]
         return ax, ay
 
-    def rk4_tables(segs, lo, hi, phased):
+    def tables(segs, lo, hi, phased):
+        """``("exact", t, ax, ay)`` when every qubit sits in a delay or a
+        square pulse, else ``("rk4", h, ax, ay)`` in RK4 steps."""
+        if all(s.kind == "delay" or s.pulse.shape.kind == "square" for _, s in segs):
+            return ("exact", hi - lo, *drive(segs, np.array(lo), phased))
+
         def sample(nst):
             hs = (hi - lo) / nst
             offs = lo + np.arange(nst) * hs
@@ -352,61 +358,57 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
         if amp * hs > _STEP_ANGLE_CAP:
             nst = 2 * math.ceil(nst * amp * hs / _STEP_ANGLE_CAP / 2)
             hs, ax, ay = sample(nst)
-        return np.full(nst, hs), ax, ay
+        return "rk4", np.full(nst, hs), ax, ay
 
     keyed = {}
     spans_out = []
     for i, lo in enumerate(edges):
         if i in events:
-            spans_out.append(("rot", [(q, p.phase, p.flip_angle) for q, p in events[i]]))
+            spans_out.append(("rot", None, None,
+                              [(q, p.phase, p.flip_angle) for q, p in events[i]]))
         if i == len(pieces):
             break
         hi, segs = edges[i + 1], pieces[i]
-        if all(s.kind == "delay" or s.pulse.shape.kind == "square" for _, s in segs):
-            ax, ay = drive(segs, np.array(lo))
-            spans_out.append(("exact", hi - lo, ax, ay))
-            continue
         pulsing = [q for q, (_, s) in enumerate(segs) if s.kind == "pulse"]
-        phis = np.zeros(n)
-        if transverse[pulsing].any():
-            spans_out.append(("rk4", *rk4_tables(segs, lo, hi, True), None, phis))
-            continue
-        key = (round((hi - lo) / tol),) + tuple(
-            (q, segs[q][1].pulse.shape, segs[q][1].pulse.flip_angle,
-             round(segs[q][1].duration / tol), round((lo - segs[q][0]) / tol))
-            for q in pulsing)
-        for q in pulsing:
-            phis[q] = segs[q][1].pulse.phase
-        if key not in keyed:
-            keyed[key] = rk4_tables(segs, lo, hi, False)
-        spans_out.append(("rk4", *keyed[key], key, phis))
+        phis, key = np.zeros(n), None
+        if pulsing and not transverse[pulsing].any():
+            key = (round((hi - lo) / tol),) + tuple(
+                (q, segs[q][1].pulse.shape, segs[q][1].pulse.flip_angle,
+                 round(segs[q][1].duration / tol), round((lo - segs[q][0]) / tol))
+                for q in pulsing)
+            phis[pulsing] = [segs[q][1].pulse.phase for q in pulsing]
+        entry = keyed[key] if key in keyed else tables(segs, lo, hi, phased=key is None)
+        if key is not None:
+            keyed[key] = entry
+        spans_out.append((entry[0], key, phis, *entry[1:]))
     return spans_out
 
 
+def _integrate(span, flat, diag, nq):
+    """``flat`` (dim, ncol) through one interval at the span's own rates:
+    the exact action of a constant H, else RK4 steps (in place)."""
+    kind, _, _, h, ax, ay = span
+    if kind == "exact":
+        return _kernels.expm_action(flat, ax, ay, diag, h, nq)
+    _kernels.rk4_evolve(flat, ax, ay, diag, h, 1)
+    return flat
+
+
 def _run_cycle(spans, psi, diag, zsign, shared):
-    """Apply one compiled cycle; ``shared`` maps a shaped-interval key to its
-    phase-0 propagator, applied by diagonal conjugation."""
-    nq = zsign.shape[0]
+    """Apply one compiled cycle.  Every interval is ``D P D^dag`` with
+    ``D = exp(-i/2 sum_q phis_q Z_q)`` and ``P`` the phase-0 propagator
+    ``shared`` holds for its key, else ``_integrate`` at the span's rates."""
+    nq, dim = zsign.shape
     for span in spans:
-        if span[0] == "rot":
-            for (q, phase, angle) in span[1]:
+        kind, key, phis = span[:3]
+        if kind == "rot":
+            for (q, phase, angle) in span[3]:
                 psi = _apply_single_qubit(psi, _equatorial_rotation(phase, angle), q, nq)
             continue
-        flat = np.ascontiguousarray(psi.reshape(psi.shape[0], -1))
-        if span[0] == "exact":
-            _, t, ax, ay = span
-            flat = _kernels.expm_action(flat, ax, ay, diag, t, nq)
-        else:
-            _, h, ax, ay, key, phis = span
-            if key in shared:
-                d = np.exp(-0.5j * (phis @ zsign))
-                flat = d[:, None] * (shared[key] @ (d.conj()[:, None] * flat))
-            else:
-                if phis.any():
-                    c, s = np.cos(phis), np.sin(phis)
-                    ax, ay = ax * c - ay * s, ax * s + ay * c
-                _kernels.rk4_evolve(flat, ax, ay, diag, h, 1)
-        psi = flat.reshape(psi.shape)
+        d = np.exp(-0.5j * (phis @ zsign))[:, None]
+        flat = d.conj() * psi.reshape(dim, -1)
+        flat = shared[key] @ flat if key in shared else _integrate(span, flat, diag, nq)
+        psi = (d * flat).reshape(psi.shape)
     return psi
 
 
@@ -415,27 +417,26 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
     """Propagate a statevector (or propagator columns) through ``repetitions``
     cycles of the per-qubit schedules.
 
-    Intervals where every qubit sits in a delay or a square pulse have a
-    constant Hamiltonian and are propagated exactly; intervals inside a shaped
-    (gaussian or DRAG) envelope take fixed RK4 steps, of which
+    Every interval of the cut is applied as a phase-0 propagator conjugated
+    by the diagonal ``exp(-i/2 sum_q phis_q Z_q)`` of its drive phases (see
+    ``_compile_cycle``).  Where every qubit sits in a delay or a square pulse
+    H is constant and the interval is propagated exactly; inside a shaped
+    (gaussian or DRAG) envelope it takes fixed RK4 steps, of which
     ``samples_per_pulse`` per longest pulse set the coarsest.  An RK4
     interval applied to at least ``dim`` columns with ``dim <= 32`` is the
     ordered product of its steps' RK4 transfer matrices, built in chunks of
-    at most 2**12 amplitudes; otherwise the columns step matrix-free.  Shaped
-    intervals that differ only in drive phase share a key (see
-    ``_compile_cycle``).  A key used ``uses`` times over all repetitions is
-    propagated once, on the identity, when that costs no more than
-    propagating each use directly (``dim <= ncol * uses``, ``ncol`` the
-    number of columns of ``psi0``); each use then applies it conjugated by
-    the diagonal ``exp(-i/2 sum_q phis_q Z_q)``.  Other shaped intervals
-    rotate the phase-0 rates into their phases and take RK4 directly.
-    Each shared key holds one dim x dim array for the whole call, so peak
-    memory grows by that many dim^2 amplitudes; a statevector builds one only
-    for a key it would otherwise propagate at least ``dim`` times.
+    at most 2**12 amplitudes; otherwise the columns step matrix-free.  A key
+    used ``uses`` times over all repetitions, square or shaped, is propagated
+    once, on the identity, when that costs no more than propagating each use
+    directly (``dim <= ncol * uses``, ``ncol`` the number of columns of
+    ``psi0``), and then holds one dim x dim array for the whole call; a
+    statevector builds one only for a key it would otherwise propagate at
+    least ``dim`` times.
     Raises IntegrationError when a column norm drifts beyond ``norm_tol`` or
     turns NaN, and ValueError for a ``norm_tol`` that is not finite and > 0,
-    for ``repetitions`` that is not an integer >= 0 and for
-    ``samples_per_pulse`` that is not an integer >= 16."""
+    for ``repetitions`` that is not an integer >= 0, for ``samples_per_pulse``
+    that is not an integer >= 16 and for a ``psi0`` whose first axis is not
+    2**n, or that has no column or an all-zero one."""
     if not (math.isfinite(norm_tol) and norm_tol > 0):
         raise ValueError(f"norm_tol must be finite and > 0; got {norm_tol}")
     if (not isinstance(repetitions, numbers.Integral) or isinstance(repetitions, bool)
@@ -443,25 +444,23 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
         raise ValueError(f"repetitions must be an integer >= 0, got {repetitions!r}")
     device = device.colored()
     schedules = _normalize_schedules(device, schedules)
+    dim = 1 << device.n
+    psi = np.array(np.eye(1, dim)[0] if psi0 is None else psi0, dtype=complex)
+    if psi.shape[:1] != (dim,) or psi.size == 0:
+        raise ValueError(f"psi0 needs a first axis of 2**n = {dim} and a column, got {psi.shape}")
+    norms_in = np.linalg.norm(psi.reshape(dim, -1), axis=0)
+    if np.any(norms_in == 0.0):
+        raise ValueError("psi0 has an all-zero column")
     diag = hamiltonian_diagonal(device)
     spans = _compile_cycle(device, schedules, samples_per_pulse, diag)
-    dim = 1 << device.n
-    if psi0 is None:
-        psi = np.zeros(dim, dtype=complex)
-        psi[0] = 1.0
-    else:
-        psi = np.asarray(psi0, dtype=complex).copy()
     ncol = psi.size // dim
-    uses = Counter(span[4] for span in spans if span[0] == "rk4" and span[4] is not None)
+    uses = Counter(span[1] for span in spans if span[1] is not None)
     shared = {}
     for span in spans:
-        key = span[4] if span[0] == "rk4" else None
+        key = span[1]
         if key is not None and key not in shared and dim <= ncol * uses[key] * repetitions:
-            u0 = np.eye(dim, dtype=complex)
-            _kernels.rk4_evolve(u0, span[2], span[3], diag, span[1], 1)
-            shared[key] = u0
+            shared[key] = _integrate(span, np.eye(dim, dtype=complex), diag, device.n)
     zsign = _zsign(device.n)
-    norms_in = np.linalg.norm(psi.reshape(dim, -1), axis=0)
     for _ in range(repetitions):
         psi = _run_cycle(spans, psi, diag, zsign, shared)
     norms_out = np.linalg.norm(psi.reshape(dim, -1), axis=0)
@@ -474,9 +473,9 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
 def cycle_propagator(device, schedules, samples_per_pulse=256, norm_tol=1e-9):
     """One-cycle propagator matrix U(tau_c): the columns of the identity
     evolved together by ``evolve``, exactly wherever H is piecewise constant.
-    With ``dim`` columns every keyed shaped interval meets the sharing rule,
-    so each distinct one is integrated once per call and its phase variants
-    are diagonal conjugations of it."""
+    With ``dim`` columns every keyed interval, square or shaped, meets the
+    sharing rule, so each distinct one is propagated once per call and its
+    phase variants are diagonal conjugations of it."""
     dim = 1 << device.n
     eye = np.eye(dim, dtype=complex)
     return evolve(device, schedules, repetitions=1, psi0=eye,

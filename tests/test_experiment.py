@@ -5,8 +5,8 @@ import pytest
 
 from crdd.experiment import (
     AlignmentError, ExperimentPlan, ExperimentResult, FitRow, default_plan, fit_dataset,
-    parse_method, path_embeddings, read_fits_csv, read_results_csv, run_experiment,
-    schedule_points, summarize, write_fits_csv, write_results_csv,
+    mean_by_duration, parse_method, path_embeddings, read_fits_csv, read_results_csv,
+    run_experiment, schedule_points, summarize, write_fits_csv, write_results_csv,
 )
 from crdd.sequences import PulseShape, QubitGraph, two_color
 from crdd.sim import (
@@ -302,6 +302,23 @@ class TestFitsAndSummary:
         assert row[4] == 20.0
         assert row[6] == pytest.approx(2.0)   # SIM / IDLE
         assert row[7] == pytest.approx(10.0)  # CR / SIM
+
+    def test_ratio_reads_the_named_column_only(self):
+        fits = [FitRow("SIM-XY4-2", "0-1", 1, 0.5, 0, 2.0, 0, "ok"),
+                FitRow("CR-XY4", "0-1", 1, 0.05, 0, 20.0, 0, "ok"),
+                FitRow("IDLE", "0-1", 1, 1.0, 0, 1.0, 0, "ok")]
+        table = summarize(fits)
+        assert table.ratio("XY4", "sim_over_idle") == pytest.approx(2.0)
+        assert table.ratio("XY4", "cr_over_sim") == pytest.approx(10.0)
+        for column in ("cr_over_idle", "sim_over_Idle", ""):
+            with pytest.raises(ValueError, match="column"):
+                table.ratio("XY4", column)
+
+    def test_mean_by_duration(self):
+        rows = [{"duration_s": d, "p0": p}
+                for d, p in ((2.0, 0.5), (1.0, 1.0), (2.0, 0.25), (1.0, 0.5), (3.0, 0.0))]
+        assert mean_by_duration(rows) == ([1.0, 2.0, 3.0], [0.75, 0.375, 0.0])
+        assert mean_by_duration([]) == ([], [])
 
     def test_summarize_exact_medians(self):
         fits = [FitRow("SIM-XY4", f"e{i}", 1, 1, 0, tau, 0, "ok")

@@ -137,6 +137,17 @@ class TestEvolveOracles:
         with pytest.raises(IntegrationError, match="nan"):
             evolve(dev, idle_schedule(1.0), psi0=[math.nan, 0, 0, 0])
 
+    @pytest.mark.parametrize("psi0", [
+        np.zeros(4), np.zeros((4, 2)), np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        np.zeros((4, 0)), np.ones(8) / math.sqrt(8), np.ones(2) / math.sqrt(2),
+        np.ones((2, 4)) / 2, np.array(1.0),
+    ], ids=["zero", "zero_columns", "one_zero_column", "no_columns", "too_long", "too_short",
+            "transposed", "scalar"])
+    def test_unusable_psi0(self, psi0):
+        dev = two_qubit_device(5e-3)
+        with pytest.raises(ValueError, match="psi0"):
+            evolve(dev, idle_schedule(1.0), psi0=psi0)
+
     @pytest.mark.parametrize("norm_tol", [math.nan, math.inf, 0.0, -1e-9])
     def test_unusable_norm_tol(self, norm_tol):
         dev = two_qubit_device(5e-3)
@@ -209,16 +220,30 @@ class TestExactIntervals:
 DRAG = PulseShape.gaussian_drag()
 
 
-def mid_pulse_schedules():
+def mid_pulse_schedules(shape=DRAG):
     """q0 drives phases pi/2 then 0.3 back to back from t = 0, q1 drives 0
     then 1.1 from t = 0.5 (tau_p = 1): each pulse edge of one qubit cuts a
     pulse of the other halfway, so intervals of equal length and equal
     pulsing qubits differ only in their offsets into the pulses."""
-    q0 = Sequence((Segment.for_pulse(PI / 2, 1.0, DRAG),
-                   Segment.for_pulse(0.3, 1.0, DRAG), Segment.delay(2.0)))
-    q1 = Sequence((Segment.delay(0.5), Segment.for_pulse(0.0, 1.0, DRAG),
-                   Segment.for_pulse(1.1, 1.0, DRAG), Segment.delay(1.5)))
+    q0 = Sequence((Segment.for_pulse(PI / 2, 1.0, shape),
+                   Segment.for_pulse(0.3, 1.0, shape), Segment.delay(2.0)))
+    q1 = Sequence((Segment.delay(0.5), Segment.for_pulse(0.0, 1.0, shape),
+                   Segment.for_pulse(1.1, 1.0, shape), Segment.delay(1.5)))
     return [q0, q1]
+
+
+def dense_square_mid_pulse(dev):
+    """The square ``mid_pulse_schedules`` cycle as a product of dense matrix
+    exponentials over its cut: per interval (start, end, q0 phase, q1 phase),
+    None for a delay; a square pi pulse of length 1 drives at rate pi."""
+    cut = ((0.0, 0.5, PI / 2, None), (0.5, 1.0, PI / 2, 0.0), (1.0, 1.5, 0.3, 0.0),
+           (1.5, 2.0, 0.3, 1.1), (2.0, 2.5, None, 1.1), (2.5, 4.0, None, None))
+    u = np.eye(4, dtype=complex)
+    for lo, hi, *phases in cut:
+        drives = [(0.0, 0.0) if p is None else (PI * math.cos(p), PI * math.sin(p))
+                  for p in phases]
+        u = expm(-1j * dense_hamiltonian(dev, np.array(drives)) * (hi - lo)) @ u
+    return u
 
 
 def direct_columns(dev, seqs):
@@ -228,17 +253,25 @@ def direct_columns(dev, seqs):
     return np.column_stack([evolve(dev, seqs, psi0=e) for e in eye.T])
 
 
-def count_rk4_calls(monkeypatch):
-    from crdd import _kernels
+def count_calls(monkeypatch, name):
+    """Shapes of the state each call to ``_kernels.<name>`` receives."""
     calls = []
-    original = _kernels.rk4_evolve
+    original = getattr(_kernels, name)
 
     def counting(psi, *args):
         calls.append(psi.shape)
         return original(psi, *args)
 
-    monkeypatch.setattr(_kernels, "rk4_evolve", counting)
+    monkeypatch.setattr(_kernels, name, counting)
     return calls
+
+
+def count_rk4_calls(monkeypatch):
+    return count_calls(monkeypatch, "rk4_evolve")
+
+
+def count_expm_calls(monkeypatch):
+    return count_calls(monkeypatch, "expm_action")
 
 
 class TestSharedPhasePropagators:
@@ -290,6 +323,51 @@ class TestSharedPhasePropagators:
         calls = count_rk4_calls(monkeypatch)
         psi = evolve(dev, seqs, repetitions=3, psi0=psi0)
         assert calls == [(4, 4)] + [(4, 1)] * 9
+        assert np.abs(psi - np.linalg.matrix_power(u, 3) @ psi0).max() < 1e-12
+
+
+class TestSharedSquarePropagators:
+    def test_square_cr_cycle_propagates_each_key_once(self, monkeypatch):
+        # the four red and four blue square pulses of CR-XY4 are one key per
+        # colour at phase 0; every other interval is a conjugation of those
+        dev = DeviceModel.default(n=4)
+        sched = cr_dd("XY4", tau_p=dev.tau_p, shape=SQUARE)
+        seqs = [sched.red if c == "R" else sched.blue for c in dev.graph.coloring]
+        calls = count_expm_calls(monkeypatch)
+        u = cycle_propagator(dev, seqs)
+        assert calls == [(16, 16)] * 2
+        assert np.abs(u - direct_columns(dev, seqs)).max() < 1e-12
+
+    def test_square_mid_pulse_cut_matches_dense(self, monkeypatch):
+        dev = two_qubit_device(0.02, b=[[0.0, 0.0, 0.01], [0.0, 0.0, -0.03]])
+        seqs = mid_pulse_schedules(SQUARE)
+        calls = count_expm_calls(monkeypatch)
+        u = cycle_propagator(dev, seqs)
+        # the four keys of the shaped cut, plus the closing delay
+        assert calls == [(4, 4)] * 5
+        assert np.abs(u - dense_square_mid_pulse(dev)).max() < 1e-10
+        assert np.abs(u - direct_columns(dev, seqs)).max() < 1e-12
+
+    def test_square_transverse_field_stays_unkeyed(self, monkeypatch):
+        dev = two_qubit_device(0.02, b=[[0.05, -0.02, 0.01], [0.0, 0.0, -0.03]])
+        seqs = mid_pulse_schedules(SQUARE)
+        calls = count_expm_calls(monkeypatch)
+        u = cycle_propagator(dev, seqs)
+        # the four intervals where q0 pulses run at their real phases, the
+        # one where only q1 pulses keeps its key, and the closing delay
+        assert calls == [(4, 4)] * 6
+        assert np.abs(u - dense_square_mid_pulse(dev)).max() < 1e-10
+
+    def test_square_repetitions_share_across_cycles(self, monkeypatch):
+        # as for shaped pulses: the key used twice per cycle is shared over
+        # three cycles; the other three keys and the delay run per cycle
+        dev = two_qubit_device(0.02, b=[[0.0, 0.0, 0.01], [0.0, 0.0, -0.03]])
+        seqs = mid_pulse_schedules(SQUARE)
+        u = cycle_propagator(dev, seqs)
+        psi0 = product_state(("+y", "-x"))
+        calls = count_expm_calls(monkeypatch)
+        psi = evolve(dev, seqs, repetitions=3, psi0=psi0)
+        assert calls == [(4, 4)] + [(4, 1)] * 12
         assert np.abs(psi - np.linalg.matrix_power(u, 3) @ psi0).max() < 1e-12
 
 

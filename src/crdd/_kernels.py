@@ -14,6 +14,9 @@
     formed as unit quaternions by a work-efficient log-depth scan (Blelloch
     1990).
 
+``turns``
+    Closed-form turns ``exp(-i a/2 (cos(phase) X + sin(phase) Y))``.
+
 ``expm_action``
     Exact action ``exp(-i t H) psi`` of a constant
     ``H = sum_q ax[q] X_q + ay[q] Y_q + diag`` on a statevector or on the
@@ -63,6 +66,15 @@ def cf4_steps(w1, w2, h):
 # ---------------------------------------------------------------------------
 # SU(2) chain
 # ---------------------------------------------------------------------------
+
+def turns(phase, angles):
+    """exp(-i a/2 (cos(phase) X + sin(phase) Y)) for each a in ``angles``,
+    shape (len(angles), 2, 2); a scalar angle gives one turn."""
+    a = 0.5 * np.asarray(angles, dtype=float)
+    c, s = np.cos(a), -1j * np.sin(a)
+    e = complex(math.cos(phase), math.sin(phase))
+    return np.stack((c, s * e.conjugate(), s * e, c), axis=-1).reshape(-1, 2, 2)
+
 
 def _quat_mul(a, b):
     """Quaternion of U(a) U(b), with U(q) = q0 I - i (q1 X + q2 Y + q3 Z)."""

@@ -2,15 +2,16 @@
 first-order suppression verification, and symmetry classification.
 
 The control is piecewise constant on the cut a sequence shares with its
-partners (``sequences._common_cut``), so every node of a trace is U = V_loc S,
+partners (``sequences._common_cut``), whose step counts, offsets and phase-0
+keys this module reads as they are, so every node of a trace is U = V_loc S,
 with S the unitary at the start of the node's piece; the piece starts compose
 over hundreds of factors.  V_loc is I on a delay and a closed-form turn about
 the drive axis on a square pulse.  On a shaped pulse it is the fourth-order
 commutator-free (CF4) chain, two closed-form SU(2) factors per step sampled at
-the Gauss-Legendre nodes, built at phase 0 once per call and (shape, flip
-angle, duration, sub-interval) and conjugated by exp(-i phase Z/2) (virtual Z,
-McKay et al., PRA 96, 022330 (2017)).  Ideal pulses are exact rotations at an
-instant.  Every node is checked for unitarity.
+the Gauss-Legendre nodes.  A pulse's V_loc is built at phase 0 once per call
+and key, and conjugated by exp(-i phase Z/2) (virtual Z, McKay et al., PRA 96,
+022330 (2017)).  Ideal pulses are exact rotations at an instant.  Every node
+is checked for unitarity.
 
 The control matrix follows R[mu, alpha](t) = Tr[U(t)^dag s_mu U(t) s_alpha]/2,
 an SO(3) rotation with R(0) = I.  Every node starts from the identity, so it
@@ -34,7 +35,6 @@ S_b, then S <- R_loc(end) S; R_loc is the adjoint of the same V_loc.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -43,7 +43,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import IntegrationError
 from .sequences import (
-    ColoredSchedule, Sequence, _common_cut, _reference_duration, envelope_amplitude,
+    ColoredSchedule, Sequence, _common_cut, envelope_amplitude,
 )
 
 __all__ = [
@@ -111,24 +111,13 @@ def _cf4_pulse(seg, phase, lo, hs, n):
     return _kernels.cf4_steps((w1i + 1j * w1q) * axis, (w2i + 1j * w2q) * axis, hs)
 
 
-def _step(seqs, samples_per_pulse):
-    """Step ``h = _reference_duration(seqs) / samples_per_pulse`` of sequences
-    cut together; ``samples_per_pulse`` must be an integer >= 16."""
-    if (not isinstance(samples_per_pulse, numbers.Integral) or isinstance(samples_per_pulse, bool)
-            or samples_per_pulse < 16):
-        raise ValueError(f"samples_per_pulse must be an integer >= 16, got {samples_per_pulse!r}")
-    return _reference_duration(seqs) / samples_per_pulse
-
-
 def _plan_sequence(sequence, samples_per_pulse, partners=()):
-    """Node layout of ``sequence`` on the cut it shares with ``partners``, whose
-    step it shares: the TimeGrid, each piece as ``{first node: (last node,
-    segment, lo, hi)}`` with offsets into the segment, the instantaneous rotations
-    as ``{node: (phase, flip_angle)}`` (other nodes off the pieces copy the one
-    before) and the step."""
-    seqs = (sequence, *partners)
-    h = _step(seqs, samples_per_pulse)
-    edges, cut, instants = _common_cut(seqs)
+    """Node layout of ``sequence`` on the cut it shares with ``partners``: the
+    TimeGrid, each piece as ``{first node: (last node, part)}`` with ``part =
+    (segment, lo, hi, key)`` the sequence's part of the piece (see
+    ``_common_cut``), and the instantaneous rotations as ``{node: (phase,
+    flip_angle)}`` (other nodes off the pieces copy the one before)."""
+    edges, cut, instants = _common_cut((sequence, *partners), samples_per_pulse)
     dts, pieces, spans, events, node = [], [], {}, {}, 0
     for i in range(len(edges)):
         here = instants.get(i, ())
@@ -141,48 +130,36 @@ def _plan_sequence(sequence, samples_per_pulse, partners=()):
         node += width
         if i == len(cut):
             break
-        start, seg = cut[i][0]
-        # offsets into the segment; its own edges are exactly 0 and its duration
-        lo = edges[i] - start if i and cut[i - 1][0][0] == start else 0.0
-        last = i + 1 == len(cut) or cut[i + 1][0][0] != start
-        hi = seg.duration if last else edges[i + 1] - start
-        n = 2 * max(1, round((hi - lo) / (2 * h)))
+        n, parts = cut[i]
+        _, lo, hi, _ = parts[0]
         dts.append(np.full(n, (hi - lo) / n))
         pieces.append((node, node + n))
-        spans[node] = (node + n, seg, lo, hi)
+        spans[node] = (node + n, parts[0])
         node += n
     times = np.concatenate(([0.0], np.cumsum(np.concatenate(dts))))
-    return TimeGrid(times, tuple(pieces), sequence.duration), spans, events, h
-
-
-def _turns(phase, angles):
-    """exp(-i a/2 (cos(phase) X + sin(phase) Y)) for each a in ``angles``."""
-    a = 0.5 * np.asarray(angles, dtype=float)
-    c, s = np.cos(a), -1j * np.sin(a)
-    e = complex(math.cos(phase), math.sin(phase))
-    return np.stack((c, s * e.conjugate(), s * e, c), axis=-1).reshape(-1, 2, 2)
+    return TimeGrid(times, tuple(pieces), sequence.duration), spans, events
 
 
 def _phase0_turns(seg, lo, hi, n):
     """Unitaries from I at the ``n + 1`` even offsets ``lo``..``hi`` into pulse
     ``seg`` at phase 0: a closed-form turn if square, else the CF4 chain."""
     if seg.pulse.shape.kind == "square":
-        return _turns(0.0, seg.pulse.flip_angle / seg.duration * np.linspace(0.0, hi - lo, n + 1))
+        rate = seg.pulse.flip_angle / seg.duration
+        return _kernels.turns(0.0, rate * np.linspace(0.0, hi - lo, n + 1))
     V = np.empty((n + 1, 2, 2), dtype=np.complex128)
     V[0] = np.eye(2)
     _kernels.su2_chain(*_cf4_pulse(seg, 0.0, lo, (hi - lo) / n, n), V)
     return V
 
 
-def _local(build, seg, lo, hi, n, h, cache):
-    """``build(seg, lo, hi, n)``, once per ``cache`` and (shape, flip angle,
-    duration, sub-interval, n): one shaped key samples the envelope 2n times."""
-    p = seg.pulse
-    # offsets on a 1e-9 h grid, so ones that differ by rounding share a chain
-    key = (p.shape, p.flip_angle, seg.duration, round(lo / h, 9), round(hi / h, 9), n)
-    if key not in cache:
-        cache[key] = build(seg, lo, hi, n)
-    return cache[key]
+def _local(build, part, n, cache):
+    """``build(segment, lo, hi, n)`` of a pulse's ``part = (segment, lo, hi,
+    key)`` of the cut, once per ``cache``, key and ``n``: one shaped key
+    samples the envelope 2n times."""
+    seg, lo, hi, key = part
+    if (key, n) not in cache:
+        cache[key, n] = build(seg, lo, hi, n)
+    return cache[key, n]
 
 
 def _unitary(U, unitarity_tol=1e-10):
@@ -205,25 +182,26 @@ def propagate(sequence, samples_per_pulse=256, partners=(), unitarity_tol=1e-10)
     another duration raise ValueError.
     """
     _check_tol(unitarity_tol, "unitarity_tol")
-    grid, spans, events, h = _plan_sequence(sequence, samples_per_pulse, partners)
+    grid, spans, events = _plan_sequence(sequence, samples_per_pulse, partners)
     U = np.empty((len(grid.times), 2, 2), dtype=np.complex128)
     U[0] = np.eye(2)
     cache, k = {}, 0
     while k + 1 < len(U):
         if k in spans:  # a piece: V_loc(t) S from its start S
-            i1, seg, lo, hi = spans[k]
-            if seg.kind == "delay":
+            i1, part = spans[k]
+            if part[3] is None:  # a delay
                 U[k + 1:i1 + 1] = U[k]
             else:
-                V = _local(_phase0_turns, seg, lo, hi, i1 - k, h, cache)[1:]
-                e = complex(math.cos(seg.pulse.phase), math.sin(seg.pulse.phase))
+                V = _local(_phase0_turns, part, i1 - k, cache)[1:]
+                phase = part[0].pulse.phase
+                e = complex(math.cos(phase), math.sin(phase))
                 # exp(-i phase Z/2) V exp(i phase Z/2): the turn at the pulse's phase
                 V = V * np.array([[1.0, e.conjugate()], [e, 1.0]])
                 np.matmul(V.reshape(-1, 2), U[k], out=U[k + 1:i1 + 1].reshape(-1, 2))
             k = i1
         else:  # an instantaneous rotation, or a copy
             k += 1
-            U[k] = _turns(*events[k])[0] @ U[k - 1] if k in events else U[k - 1]
+            U[k] = _kernels.turns(*events[k])[0] @ U[k - 1] if k in events else U[k - 1]
     return grid, _unitary(U, unitarity_tol)
 
 
@@ -297,7 +275,7 @@ def bang_bang_trace(sequence, samples_per_pulse=256, partners=()):
     """
     if any(s.kind == "pulse" and not s.pulse.shape.is_ideal for s in sequence.segments):
         raise ValueError("bang_bang_trace requires all pulses ideal")
-    grid, _, events, _ = _plan_sequence(sequence, samples_per_pulse, partners)
+    grid, _, events = _plan_sequence(sequence, samples_per_pulse, partners)
     R = np.empty((len(grid.times), 3, 3))
     R[0] = np.eye(3)
     for i in range(1, len(R)):
@@ -432,36 +410,27 @@ def _check_tol(tol, name="tol"):
 
 def _local_chi(seg, lo, hi, n):
     """(int R_loc dt, R_loc(end), Z rows of R_loc) of pulse ``seg`` from ``lo``
-    to ``hi`` at phase 0: a turn at constant rate if square, else the CF4 chain."""
-    t = np.linspace(0.0, hi - lo, n + 1)
-    if seg.pulse.shape.kind == "square":
-        th = seg.pulse.flip_angle / seg.duration * t
-        c, s, o, z = np.cos(th), np.sin(th), np.ones(n + 1), np.zeros(n + 1)
-        R = np.stack((o, z, z, z, c, -s, z, s, c), axis=-1).reshape(-1, 3, 3)
-    else:
-        R = _adjoint_from_unitaries(_unitary(_phase0_turns(seg, lo, hi, n)))
-    return _simpson_pieces(R, t, ((0, n),)), R[-1], R[:, 2]
+    to ``hi`` at phase 0, the adjoint of ``_phase0_turns``."""
+    R = _adjoint_from_unitaries(_unitary(_phase0_turns(seg, lo, hi, n)))
+    return _simpson_pieces(R, np.linspace(0.0, hi - lo, n + 1), ((0, n),)), R[-1], R[:, 2]
 
 
 def _segment_chi(seqs, samples_per_pulse):
     """chi1 of each of ``seqs`` and chi2 of the first with the last, by segments."""
-    h = _step(seqs, samples_per_pulse)
-    edges, cut, instants = _common_cut(seqs)
+    edges, cut, instants = _common_cut(seqs, samples_per_pulse)
     frames, one, two, cache = [np.eye(3)] * len(seqs), [0.0] * len(seqs), 0.0, {}
-    for i, row in enumerate(cut):
+    for i, (n, parts) in enumerate(cut):
         for q, p in instants.get(i, ()):
             frames[q] = _axis_rotation_adjoint(p.phase, p.flip_angle) @ frames[q]
         dur = edges[i + 1] - edges[i]
-        n = 2 * max(1, round(dur / (2 * h)))
         local = []  # (int R_loc dt, R_loc(end), Z rows of R_loc or None if constant)
-        for start, seg in row:
-            if seg.kind == "delay":
+        for part in parts:
+            if part[3] is None:  # a delay
                 local.append((dur * np.eye(3), np.eye(3), None))
                 continue
-            p, lo = seg.pulse, max(edges[i] - start, 0.0)
-            hi = min(edges[i + 1] - start, seg.duration)
-            L, E, Z = _local(_local_chi, seg, lo, hi, n, h, cache)
-            c, s = math.cos(p.phase), math.sin(p.phase)
+            L, E, Z = _local(_local_chi, part, n, cache)
+            phase = part[0].pulse.phase
+            c, s = math.cos(phase), math.sin(phase)
             Q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
             local.append((Q @ L @ Q.T, Q @ E @ Q.T, Z @ Q.T))
         (Lr, _, Zr), (Lb, _, Zb) = local[0], local[-1]

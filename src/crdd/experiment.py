@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fitting import fit_decay
-from .sequences import PulseShape, canonical_name, cr_dd, sim_dd
+from .sequences import PulseShape, _is_integer, canonical_name, cr_dd, sim_dd
 from .sim import (POLES, DeviceModel, SurvivalPoint, SurvivalRecord, idle_schedule,
                   cycle_propagator, prepare_states, product_state, sample_survival,
                   shot_rng, survival_probability)
@@ -174,7 +173,7 @@ class ExperimentPlan:
             raise ValueError("a plan needs at least one embedding and no empty one, "
                              f"got {embeddings!r}")
         for v in (v for emb in embeddings for v in emb):
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+            if not _is_integer(v):
                 raise ValueError(f"embedding vertices must be integers, got {v!r}")
         object.__setattr__(self, "embeddings",
                            tuple(tuple(int(v) for v in e) for e in embeddings))
@@ -183,8 +182,7 @@ class ExperimentPlan:
                                 ("target_pulses", 1, None), ("max_points", 1, None),
                                 ("count_type1", 0, len(POLES)), ("count_type2", 0, None)):
             value = getattr(self, name)
-            if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-                    or value < low or (high is not None and value > high)):
+            if not _is_integer(value) or value < low or (high is not None and value > high):
                 bound = f">= {low}" + (f" and <= {high}" if high is not None else "")
                 raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
         for m in self.methods:

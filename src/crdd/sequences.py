@@ -12,6 +12,9 @@ two colors never overlap in time.
 
 All durations are in seconds and phases in radians.  Flip angles are pi for
 every catalog sequence.
+
+``_common_cut`` is the one plan both engines read of sequences that share a
+timeline: cut times, step counts, offsets into segments and phase-0 keys.
 """
 from __future__ import annotations
 
@@ -286,17 +289,33 @@ class ColoredSchedule:
         return cls.from_dict(json.loads(text))
 
 
-def _common_cut(sequences):
-    """Cut equal-duration sequences at the union of their segment edges.
+def _is_integer(x):
+    """An integer that is not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _common_cut(sequences, samples_per_pulse):
+    """Cut equal-duration sequences at the union of their segment edges: the
+    one plan of step counts, offsets and phase-0 keys ``control`` and ``sim`` read.
 
     Returns ``(edges, pieces, events)``.  ``edges`` are the cut times from 0
-    to the common duration; edges closer than 1e-12 times the duration merge
-    into the earliest.  ``pieces[i]`` holds, per sequence, the
-    ``(start, segment)`` of its segment covering ``[edges[i], edges[i + 1]]``.
-    ``events`` maps an edge index to the zero-duration pulses at that edge, as
-    ``(sequence index, PulseSpec)`` in sequence order.  Raises ValueError when
-    the durations differ.
+    to the common duration; edges closer than ``tol = 1e-12`` times the
+    duration merge into the earliest.  ``pieces[i] = (n, parts)`` steps
+    ``[edges[i], edges[i + 1]]`` in ``n = 2 max(1, round(length / 2h))``, with
+    ``h`` the longest bounded pulse (else the shortest segment) over
+    ``samples_per_pulse``; ``parts`` holds per sequence ``(segment, lo, hi,
+    key)``, offsets into that segment that are exactly 0 and its duration at
+    its own edges.  ``key`` is None on a delay, else shape, flip angle,
+    duration and, on the ``tol`` grid, ``lo`` and ``hi`` (shaped) or ``hi -
+    lo`` (square: the rate is constant); equal keys differ only in drive
+    phase, a Z rotation either side (virtual Z, McKay et al., PRA 96, 022330
+    (2017)).  ``events`` maps an edge index to the zero-duration pulses at
+    that edge, as ``(sequence index, PulseSpec)`` in sequence order.  Raises
+    ValueError when the durations differ or ``samples_per_pulse`` is not an
+    integer >= 16.
     """
+    if not _is_integer(samples_per_pulse) or samples_per_pulse < 16:
+        raise ValueError(f"samples_per_pulse must be an integer >= 16, got {samples_per_pulse!r}")
     duration = sequences[0].duration
     if any(s.duration != duration for s in sequences):
         raise ValueError(f"sequence durations differ: {sorted({s.duration for s in sequences})}")
@@ -314,6 +333,9 @@ def _common_cut(sequences):
                 instants.append((t, q, s.pulse))
                 cuts.add(t)
         spans.append(own)
+    bounded = [s.duration for own in spans for _, _, s in own if s.kind == "pulse"]
+    reference = max(bounded) if bounded else min(s.duration for own in spans for _, _, s in own)
+    h = reference / samples_per_pulse
     edges, merged_into = [], {}
     for c in sorted(cuts):
         if not edges or c - edges[-1] > tol:
@@ -322,28 +344,28 @@ def _common_cut(sequences):
     events = {}
     for t, q, pulse in instants:
         events.setdefault(merged_into[t], []).append((q, pulse))
-    # one pointer per sequence: its first span that reaches the piece's end
-    pieces, at = [], [0] * len(spans)
-    for hi in edges[1:]:
-        row = []
-        for q, own in enumerate(spans):
-            while own[at[q]][1] + tol < hi:
-                at[q] += 1
-            start, _, seg = own[at[q]]
-            row.append((start, seg))
-        pieces.append(tuple(row))
-    return edges, pieces, events
-
-
-def _reference_duration(sequences):
-    """Duration that sets the integration step (``h = reference /
-    samples_per_pulse``) of sequences cut together: their longest bounded
-    pulse, else their shortest positive segment."""
-    segments = [s for seq in sequences for s in seq.segments]
-    bounded = [s.duration for s in segments if s.kind == "pulse" and s.duration > 0]
-    if bounded:
-        return max(bounded)
-    return min(s.duration for s in segments if s.duration > 0)
+    columns = []
+    for own in spans:
+        parts = []
+        for start, end, seg in own:
+            # the pieces from the edge the segment starts at to the one it ends at
+            first, stop, p = merged_into[start], merged_into[end], seg.pulse
+            if p is not None:
+                square, head = p.shape.kind == "square", (p.shape, p.flip_angle, seg.duration)
+            for i in range(first, stop):
+                lo = edges[i] - start if i > first else 0.0
+                hi = edges[i + 1] - start if i + 1 < stop else seg.duration
+                if p is None:
+                    key = None
+                elif square:
+                    key = head + (round((hi - lo) / tol),)
+                else:
+                    key = head + (round(lo / tol), round(hi / tol))
+                parts.append((seg, lo, hi, key))
+        columns.append(parts)
+    # 2 max(1, round(length / 2h)), rounding half to even as round() does
+    steps = 2 * np.maximum(1, np.rint(np.diff(edges) / (2 * h))).astype(int)
+    return edges, list(zip(steps.tolist(), zip(*columns))), events
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +604,10 @@ def sim_variant(phases, tau_p, tau_d, shape, name=""):
 
 def sim_dd(name, k, tau_p, shape):
     """SIM-<name>-k: tau_d = (k-1) tau_p, cycle duration k L tau_p."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    seq = sim_variant(named_phases(name), tau_p, (k - 1) * tau_p, shape,
-                      name=f"SIM-{canonical_name(name)}-{k}")
-    return seq
+    if not _is_integer(k) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    return sim_variant(named_phases(name), tau_p, (k - 1) * tau_p, shape,
+                       name=f"SIM-{canonical_name(name)}-{k}")
 
 
 def _stagger(phases_r, phases_b, tau_p, tau_d, mode, shape, name):
@@ -631,8 +652,8 @@ def cr_dd(name_r, name_b=None, tau_p=None, shape=None, k=1, mode="symmetric"):
     """
     if tau_p is None or shape is None:
         raise ValueError("tau_p and shape are required")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not _is_integer(k) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     suffix = _pad_suffix(mode)
     pr = named_phases(name_r)
     pb = named_phases(name_b) if name_b else pr
@@ -704,7 +725,7 @@ class QubitGraph:
 
     def __post_init__(self):
         for x in (self.n, *(x for edge in self.edges for x in edge)):
-            if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+            if not _is_integer(x):
                 raise ValueError(f"graph size and vertices must be integers, got {x!r}")
         if self.n < 1:
             raise ValueError("graph must have at least one vertex")

@@ -3,24 +3,27 @@ static 1-local fields, with shot-sampled survival probabilities.
 
 The Hamiltonian H(t) = H_C(t) + H_err is never stored as a matrix: transverse
 drive and 1-local X/Y terms act qubit-wise, while the Z and ZZ sector enters
-through a precomputed diagonal.  A cycle is cut at every segment edge.  Where
-every qubit sits in a delay or a square pulse, H is constant on the cut
-interval and its propagator is applied exactly (a phase when H is diagonal,
-else a scaled Taylor series).  Intervals inside shaped envelopes take
-fixed-step RK4 with drive coefficients sampled one-sidedly per step, so
-envelopes never leak across segment boundaries; RK4 on enough columns of a
-small system composes the transfer matrices of its steps (see ``evolve``).
-Ideal pulses are exact instantaneous rotations.
+through a precomputed diagonal.  A cycle is cut at every segment edge, with
+the step counts, offsets and phase-0 keys of ``sequences._common_cut``.
+Where every qubit sits in a delay or a square pulse, H is constant on the
+cut interval and its propagator is applied exactly (a phase when H is
+diagonal, else a scaled Taylor series).  Intervals inside shaped envelopes
+take fixed-step RK4 with drive coefficients sampled one-sidedly per step at
+offsets into each segment, so envelopes never leak across segment
+boundaries; RK4 on enough columns of a small system composes the transfer
+matrices of its steps (see ``evolve``).  Ideal pulses are exact
+instantaneous rotations.
 
 Pulsed intervals, square or shaped, that differ only in the drive phases of
-their pulses share one propagator: a pulse of phase phi on qubit q is the
-phase-0 pulse conjugated by exp(-i phi Z_q / 2), and that rotation commutes
-with the Z/ZZ diagonal (the virtual-Z identity, McKay et al., PRA 96, 022330
-(2017)).  Every interval is applied as D P D^dag, D that diagonal rotation
-and P its phase-0 propagator: built once on the identity and reused wherever
-that is cheaper than propagating every occurrence, else propagated on the
-rotated columns.  Delay-only intervals, and those where a pulsing qubit has
-a static X/Y field, run at their real phases with D = 1.
+their pulses share one propagator, keyed by their pulsing qubits' keys: a
+pulse of phase phi on qubit q is the phase-0 pulse conjugated by
+exp(-i phi Z_q / 2), and that rotation commutes with the Z/ZZ diagonal (the
+virtual-Z identity, McKay et al., PRA 96, 022330 (2017)).  Every interval is
+applied as D P D^dag, D that diagonal rotation and P its phase-0
+propagator: built once on the identity and reused wherever that is cheaper
+than propagating every occurrence, else propagated on the rotated columns.
+Delay-only intervals, and those where a pulsing qubit has a static X/Y
+field, run at their real phases with D = 1.
 
 Statevector dimension is capped at n = 14 qubits (dense representation).
 """
@@ -35,9 +38,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import IntegrationError
-from .control import _step
 from .sequences import (
-    QubitGraph, Segment, Sequence, _common_cut, envelope_amplitude, two_color,
+    QubitGraph, Segment, Sequence, _common_cut, _is_integer, envelope_amplitude, two_color,
 )
 
 __all__ = [
@@ -166,10 +168,15 @@ class StateSpec:
 
 
 def prepare_states(n, count_type1=6, count_type2=14, seed=0):
-    """The uniform six-pole states plus seeded random pole assignments,
+    """The first ``count_type1`` uniform six-pole states (an integer in 0..6)
+    plus ``count_type2`` (an integer >= 0) seeded random pole assignments,
     deduplicated against each other."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not _is_integer(count_type1) or not 0 <= count_type1 <= len(POLES):
+        raise ValueError(f"count_type1 must be an integer in 0..6, got {count_type1!r}")
+    if not _is_integer(count_type2) or count_type2 < 0:
+        raise ValueError(f"count_type2 must be an integer >= 0, got {count_type2!r}")
     states = []
     for pole in POLES[:count_type1]:
         states.append(StateSpec("type1", (pole,) * n, f"type1_{pole}"))
@@ -208,13 +215,6 @@ def _apply_single_qubit(psi, gate, q, n):
     out[:, 0] = gate[0, 0] * shaped[:, 0] + gate[0, 1] * shaped[:, 1]
     out[:, 1] = gate[1, 0] * shaped[:, 0] + gate[1, 1] * shaped[:, 1]
     return out.reshape(psi.shape)
-
-
-def _equatorial_rotation(phase, angle):
-    c = math.cos(angle / 2)
-    s = math.sin(angle / 2)
-    e = -1j * s * (math.cos(phase) - 1j * math.sin(phase))
-    return np.array([[c, e], [-1j * s * (math.cos(phase) + 1j * math.sin(phase)), c]])
 
 
 def decode_probabilities(psi, poles):
@@ -301,36 +301,34 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
       ``h`` with rates (nsteps, 3, n) at each step's start, midpoint and end.
 
     An interval in which some qubit pulses and no pulsing qubit carries a
-    static X/Y field, square or shaped, is keyed by its length and, per
-    pulsing qubit, ``(q, shape, flip_angle, segment duration, offset into
-    the segment)``, lengths on the ``tol`` grid.  Its rates are the phase-0
-    pulses', sampled once per key, and ``phis`` (n,) holds each pulsing
-    qubit's drive phase (0 elsewhere): its propagator is the key's
-    conjugated by ``exp(-i/2 sum_q phis_q Z_q)``, which commutes with the
-    Z/ZZ diagonal.  Otherwise ``key`` is None, ``phis`` is 0 and the rates
-    carry the real phases.
+    static X/Y field, square or shaped, is keyed by ``(q, key)`` of each
+    pulsing qubit, ``key`` its part's phase-0 key in ``_common_cut``.  Its
+    rates are the phase-0 pulses', sampled once per key, and ``phis`` (n,)
+    holds each pulsing qubit's drive phase (0 elsewhere): its propagator is
+    the key's conjugated by ``exp(-i/2 sum_q phis_q Z_q)``, which commutes
+    with the Z/ZZ diagonal.  Otherwise ``key`` is None, ``phis`` is 0 and
+    the rates carry the real phases.
     """
     n = device.n
     _check_capacity(n)
-    h_target = _step(schedules, samples_per_pulse)
-    edges, pieces, events = _common_cut(schedules)
+    edges, pieces, events = _common_cut(schedules, samples_per_pulse)
     diag_bound = float(np.abs(diag).max())
     transverse = np.any(device.b[:, :2] != 0.0, axis=1)
-    tol = 1e-12 * schedules[0].duration  # key grid: the cut's merge tolerance
 
-    def drive(segs, times, phased=True):
-        """Rates ``ax, ay`` of shape ``times.shape + (n,)``; with ``phased``
-        False every pulse is driven at phase 0."""
-        ax = np.zeros(times.shape + (n,))
-        ay = np.zeros(times.shape + (n,))
-        for q, (a0, s) in enumerate(segs):
+    def drive(parts, offsets, phased=True):
+        """Rates ``ax, ay`` of shape ``offsets.shape + (n,)`` at ``offsets``
+        from the start of the interval; with ``phased`` False every pulse is
+        driven at phase 0."""
+        ax = np.zeros(offsets.shape + (n,))
+        ay = np.zeros(offsets.shape + (n,))
+        for q, (s, lo, _, _) in enumerate(parts):
             if s.kind == "pulse":
                 p = s.pulse
-                local = np.clip(times - a0, 0.0, s.duration)
+                local = np.clip(lo + offsets, 0.0, s.duration)
                 wi, wq = envelope_amplitude(p.shape, p.flip_angle, s.duration,
                                             local.ravel())
-                wi = wi.reshape(times.shape)
-                wq = wq.reshape(times.shape)
+                wi = wi.reshape(offsets.shape)
+                wq = wq.reshape(offsets.shape)
                 phase = p.phase if phased else 0.0
                 cph, sph = math.cos(phase), math.sin(phase)
                 ax[..., q] = 0.5 * (wi * cph - wq * sph)
@@ -339,19 +337,19 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
             ay[..., q] += device.b[q, 1]
         return ax, ay
 
-    def tables(segs, lo, hi, phased):
+    def tables(parts, t, nst, phased):
         """``("exact", t, ax, ay)`` when every qubit sits in a delay or a
-        square pulse, else ``("rk4", h, ax, ay)`` in RK4 steps."""
-        if all(s.kind == "delay" or s.pulse.shape.kind == "square" for _, s in segs):
-            return ("exact", hi - lo, *drive(segs, np.array(lo), phased))
+        square pulse, else ``("rk4", h, ax, ay)`` in at least ``nst`` RK4
+        steps."""
+        if all(s.kind == "delay" or s.pulse.shape.kind == "square" for s, *_ in parts):
+            return ("exact", t, *drive(parts, np.array(0.0), phased))
 
         def sample(nst):
-            hs = (hi - lo) / nst
-            offs = lo + np.arange(nst) * hs
-            return hs, *drive(segs, np.stack([offs, offs + hs / 2, offs + hs], axis=1),
+            hs = t / nst
+            offs = np.arange(nst) * hs
+            return hs, *drive(parts, np.stack([offs, offs + hs / 2, offs + hs], axis=1),
                               phased)
 
-        nst = 2 * max(1, round((hi - lo) / (2 * h_target)))
         hs, ax, ay = sample(nst)
         # transverse amplitudes sum across qubits in the worst eigenvalue
         amp = float(np.hypot(ax, ay).sum(axis=2).max()) + diag_bound
@@ -368,16 +366,14 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
                               [(q, p.phase, p.flip_angle) for q, p in events[i]]))
         if i == len(pieces):
             break
-        hi, segs = edges[i + 1], pieces[i]
-        pulsing = [q for q, (_, s) in enumerate(segs) if s.kind == "pulse"]
+        nst, parts = pieces[i]
+        pulsing = [q for q, part in enumerate(parts) if part[3] is not None]
         phis, key = np.zeros(n), None
         if pulsing and not transverse[pulsing].any():
-            key = (round((hi - lo) / tol),) + tuple(
-                (q, segs[q][1].pulse.shape, segs[q][1].pulse.flip_angle,
-                 round(segs[q][1].duration / tol), round((lo - segs[q][0]) / tol))
-                for q in pulsing)
-            phis[pulsing] = [segs[q][1].pulse.phase for q in pulsing]
-        entry = keyed[key] if key in keyed else tables(segs, lo, hi, phased=key is None)
+            key = tuple((q, parts[q][3]) for q in pulsing)
+            phis[pulsing] = [parts[q][0].pulse.phase for q in pulsing]
+        entry = (keyed[key] if key in keyed
+                 else tables(parts, edges[i + 1] - lo, nst, phased=key is None))
         if key is not None:
             keyed[key] = entry
         spans_out.append((entry[0], key, phis, *entry[1:]))
@@ -403,7 +399,7 @@ def _run_cycle(spans, psi, diag, zsign, shared):
         kind, key, phis = span[:3]
         if kind == "rot":
             for (q, phase, angle) in span[3]:
-                psi = _apply_single_qubit(psi, _equatorial_rotation(phase, angle), q, nq)
+                psi = _apply_single_qubit(psi, _kernels.turns(phase, angle)[0], q, nq)
             continue
         d = np.exp(-0.5j * (phis @ zsign))[:, None]
         flat = d.conj() * psi.reshape(dim, -1)
@@ -439,8 +435,7 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
     2**n, or that has no column or an all-zero one."""
     if not (math.isfinite(norm_tol) and norm_tol > 0):
         raise ValueError(f"norm_tol must be finite and > 0; got {norm_tol}")
-    if (not isinstance(repetitions, numbers.Integral) or isinstance(repetitions, bool)
-            or repetitions < 0):
+    if not _is_integer(repetitions) or repetitions < 0:
         raise ValueError(f"repetitions must be an integer >= 0, got {repetitions!r}")
     device = device.colored()
     schedules = _normalize_schedules(device, schedules)

@@ -11,8 +11,8 @@ from crdd.control import (
     classify_symmetry, control_trace, paired_traces, propagate, verify_first_order,
 )
 from crdd.sequences import (
-    ColoredSchedule, PulseShape, PulseSpec, Segment, Sequence, _common_cut,
-    _reference_duration, cr_dd, named_phases, sim_dd, sim_variant,
+    ColoredSchedule, PulseShape, PulseSpec, Segment, Sequence, _common_cut, cr_dd,
+    named_phases, sim_dd, sim_variant,
 )
 
 PI = math.pi
@@ -501,10 +501,9 @@ class TestNumericalInvariants:
 def step_chain(sequence, samples_per_pulse, partners=()):
     """Oracle for ``propagate``: every CF4 step of the cycle at its real drive
     phase, delays as zero steps and ideal pulses as one-factor steps, chained
-    from I by ``su2_chain``.  Returns the node times, the pieces and U."""
-    seqs = (sequence, *partners)
-    edges, cut, instants = _common_cut(seqs)
-    h = _reference_duration(seqs) / samples_per_pulse
+    from I by ``su2_chain``, over the cut's step counts and offsets.  Returns
+    the node times, the pieces and U."""
+    edges, cut, instants = _common_cut((sequence, *partners), samples_per_pulse)
     zero = np.zeros(1)
     runs, pieces, node, sep = [], [], 0, False  # runs of (dt, cx, cy, dx, dy)
     for i in range(len(edges)):
@@ -519,14 +518,10 @@ def step_chain(sequence, samples_per_pulse, partners=()):
         sep = sep and not width
         if i == len(cut):
             break
-        start, seg = cut[i][0]
-        lo = edges[i] - start if i and cut[i - 1][0][0] == start else 0.0
-        last = i + 1 == len(cut) or cut[i + 1][0][0] != start
-        hi = seg.duration if last else edges[i + 1] - start
+        n, ((seg, lo, hi, _), *_) = cut[i]
         if sep:
             runs.append((zero,) * 5)
             node += 1
-        n = 2 * max(1, round((hi - lo) / (2 * h)))
         hs = (hi - lo) / n
         if seg.kind == "delay":
             runs.append((np.full(n, hs),) + (np.zeros(n),) * 4)

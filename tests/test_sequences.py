@@ -8,11 +8,13 @@ from scipy.integrate import quad
 from crdd.sequences import (
     CatalogError, ColoredSchedule, NotBipartiteError, PulseShape, PulseSpec, QubitGraph,
     SEQUENCE_CATALOG, Segment, Sequence, build_named, cr_dd, cr_variant,
-    _calibrate_drag, _common_cut, envelope_amplitude, named_phases, pad, sim_dd, sim_variant, two_color,
+    _calibrate_drag, _common_cut, envelope_amplitude, named_phases, pad, sim_dd, sim_variant,
+    two_color,
 )
 
 PI = math.pi
 SQUARE = PulseShape.square()
+DRAG = PulseShape.gaussian_drag()
 
 
 def su2_pulse(phase):
@@ -129,6 +131,16 @@ class TestSimVariant:
             sim_variant((), 1.0, 1.0, SQUARE)
         with pytest.raises(ValueError):
             sim_variant((0.0,), 1.0, -1.0, SQUARE)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5, 2.0, True, "2"])
+def test_sim_and_cr_dd_refuse_k_that_is_not_a_positive_integer(k):
+    # a fractional or bool k would be named SIM-XY4-2.5 or SIM-XY4-True, or
+    # pad a CR schedule by 1.5 tau_p under the integer-k label CR-XY4-padS
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
+        sim_dd("XY4", k, 1.0, SQUARE)
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
+        cr_dd("XY4", tau_p=1.0, shape=SQUARE, k=k)
 
 
 class TestCrVariant:
@@ -398,17 +410,23 @@ def seq_of(*segments):
     return Sequence(tuple(segments))
 
 
+def offsets(pieces, q):
+    """``(segment, lo, hi)`` of sequence ``q`` in every piece of a cut."""
+    return [parts[q][:3] for _, parts in pieces]
+
+
 class TestCommonCut:
     def test_edges_are_the_union_of_segment_edges(self):
         pulse = Segment.for_pulse(0.0, 2.0, SQUARE)
         a = seq_of(Segment.delay(1.0), pulse, Segment.delay(1.0))
         b = seq_of(Segment.for_pulse(0.0, 1.5, SQUARE), Segment.delay(2.5))
-        edges, pieces, events = _common_cut((a, b))
+        edges, pieces, events = _common_cut((a, b), 16)
         assert edges == [0.0, 1.0, 1.5, 3.0, 4.0]
         assert events == {}
-        assert [row[0] for row in pieces] == [
-            (0.0, a.segments[0]), (1.0, pulse), (1.0, pulse), (3.0, a.segments[2])]
-        assert [row[1][0] for row in pieces] == [0.0, 0.0, 1.5, 1.5]
+        assert offsets(pieces, 0) == [(a.segments[0], 0.0, 1.0), (pulse, 0.0, 0.5),
+                                      (pulse, 0.5, 2.0), (a.segments[2], 0.0, 1.0)]
+        assert offsets(pieces, 1) == [(b.segments[0], 0.0, 1.0), (b.segments[0], 1.0, 1.5),
+                                      (b.segments[1], 0.0, 1.5), (b.segments[1], 1.5, 2.5)]
 
     def test_edges_within_tolerance_merge_into_the_earliest(self):
         # tolerance 1e-12 * 2.0; 2**-44 ~ 5.7e-14 merges, 2**-38 ~ 3.6e-12 does not
@@ -416,21 +434,87 @@ class TestCommonCut:
         for gap, expected in ((2.0 ** -44, [0.0, 1.0, 2.0]),
                               (2.0 ** -38, [0.0, 1.0, 1.0 + 2.0 ** -38, 2.0])):
             b = seq_of(Segment.delay(1.0 + gap), Segment.delay(1.0 - gap))
-            edges, pieces, _ = _common_cut((a, b))
+            edges, pieces, _ = _common_cut((a, b), 16)
             assert edges == expected
             assert len(pieces) == len(edges) - 1
+
+    def test_offsets_are_exact_at_merged_edges(self):
+        # b's inner edge 1 + 2**-44 merges into a's 1.0, and c's delays sum
+        # to 0.6000000000000001 where the durations' exact sum is 0.6: at
+        # its own edges a segment's part still runs from 0 to its duration
+        gap = 2.0 ** -44
+        pulse = Segment.for_pulse(0.0, 0.6, DRAG)
+        a = seq_of(pulse)
+        b = seq_of(Segment.delay(0.3 + gap), Segment.delay(0.3 - gap))
+        c = seq_of(*(Segment.delay(d) for d in (0.1, 0.2, 0.3)))
+        edges, pieces, _ = _common_cut((a, b, c), 16)
+        t1 = 0.1 + 0.2
+        assert edges == [0.0, 0.1, t1, 0.6]
+        assert offsets(pieces, 0) == [(pulse, 0.0, 0.1), (pulse, 0.1, t1), (pulse, t1, 0.6)]
+        assert offsets(pieces, 1) == [(b.segments[0], 0.0, 0.1), (b.segments[0], 0.1, 0.3 + gap),
+                                      (b.segments[1], 0.0, 0.3 - gap)]
+        assert offsets(pieces, 2) == [(c.segments[0], 0.0, 0.1), (c.segments[1], 0.0, 0.2),
+                                      (c.segments[2], 0.0, 0.3)]
+
+    @pytest.mark.parametrize("shape", [SQUARE, DRAG], ids=lambda s: s.kind)
+    def test_keys_name_the_phase_zero_interval(self, shape):
+        # q0 pulses at phases pi/2 then 0.3 from t = 0, q1 at 0 then 1.1 from
+        # t = 0.5: the three intervals where both pulse are equally long, and
+        # each cuts its pulses halfway, at offsets (0.5, 1) or (0, 0.5)
+        q0 = seq_of(Segment.for_pulse(PI / 2, 1.0, shape), Segment.for_pulse(0.3, 1.0, shape),
+                    Segment.delay(2.0))
+        q1 = seq_of(Segment.delay(0.5), Segment.for_pulse(0.0, 1.0, shape),
+                    Segment.for_pulse(1.1, 1.0, shape), Segment.delay(1.5))
+        edges, pieces, _ = _common_cut((q0, q1), 16)
+        assert edges == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 4.0]
+        keys = [tuple(part[3] for part in parts) for _, parts in pieces]
+        assert keys[0][1] is None and keys[4][0] is None and keys[5] == (None, None)
+        # neither the drive phase nor the pulse's place is part of the key
+        assert keys[1] == keys[3]
+        assert keys[0][0] == keys[2][0] == keys[1][1]
+        # offsets (0.5, 1) and (0, 0.5): equal for a square rate, not for a shaped one
+        assert (keys[1][0] == keys[2][0]) == (shape.kind == "square")
+        assert (keys[1][1] == keys[2][1]) == (shape.kind == "square")
+        assert keys[0][0][:3] == (shape, PI, 1.0)
+
+    def test_step_counts(self):
+        # h = longest bounded pulse / samples_per_pulse = 2/16, else the
+        # shortest positive segment / samples_per_pulse; n = 2 max(1, round(len / 2h))
+        pulse = Segment.for_pulse(0.0, 2.0, SQUARE)
+        a = seq_of(Segment.delay(1.0), pulse, Segment.delay(1.0))
+        b = seq_of(Segment.for_pulse(0.0, 1.5, SQUARE), Segment.delay(2.5))
+        _, pieces, _ = _common_cut((a, b), 16)
+        assert [n for n, _ in pieces] == [8, 4, 12, 8]
+        _, pieces, _ = _common_cut((a, b), 64)
+        assert [n for n, _ in pieces] == [32, 16, 48, 32]
+        delays = seq_of(Segment.delay(0.01), Segment.delay(1.0), Segment.delay(2.99))
+        _, pieces, _ = _common_cut((delays,), 16)
+        assert [n for n, _ in pieces] == [16, 1600, 4784]
+        _, pieces, _ = _common_cut((delays, seq_of(Segment.for_pulse(0.0, 4.0, SQUARE))), 16)
+        assert [n for n, _ in pieces] == [2, 4, 12]
+        # lengths of 2.5 and 3.5 double steps round half to even, as round() does
+        halves = seq_of(Segment.for_pulse(0.0, 1.0, SQUARE), Segment.delay(5 / 16),
+                        Segment.delay(7 / 16))
+        _, pieces, _ = _common_cut((halves,), 16)
+        assert [n for n, _ in pieces] == [16, 4, 8]
+
+    @pytest.mark.parametrize("samples", [16.5, True, 15, 0, "16"])
+    def test_samples_per_pulse_must_be_an_integer_from_16(self, samples):
+        a = seq_of(Segment.for_pulse(0.0, 1.0, SQUARE))
+        with pytest.raises(ValueError, match="samples_per_pulse must be an integer >= 16"):
+            _common_cut((a,), samples)
 
     def test_unequal_durations_refused(self):
         short, long_ = seq_of(Segment.delay(1.0)), seq_of(Segment.delay(2.0))
         with pytest.raises(ValueError, match="durations differ"):
-            _common_cut((short, long_))
+            _common_cut((short, long_), 16)
 
     def test_ideal_pulses_at_start_interior_edges_and_end(self):
         ideal = PulseShape.ideal()
         x, y = (Segment.for_pulse(ph, 0.0, ideal) for ph in (0.0, PI / 2))
         a = seq_of(x, Segment.delay(1.0), y, Segment.delay(1.0), x)
         b = seq_of(y, Segment.delay(0.5), y, x, Segment.delay(1.5))
-        edges, _, events = _common_cut((a, b))
+        edges, _, events = _common_cut((a, b), 16)
         assert edges == [0.0, 0.5, 1.0, 2.0]
         # in sequence order, and in segment order within a sequence
         assert events == {0: [(0, x.pulse), (1, y.pulse)], 1: [(1, y.pulse), (1, x.pulse)],

@@ -343,8 +343,9 @@ class TestSharedSquarePropagators:
         seqs = mid_pulse_schedules(SQUARE)
         calls = count_expm_calls(monkeypatch)
         u = cycle_propagator(dev, seqs)
-        # the four keys of the shaped cut, plus the closing delay
-        assert calls == [(4, 4)] * 5
+        # a square rate does not depend on the offset, so the three intervals
+        # where both qubits pulse share a key: three keys plus the closing delay
+        assert calls == [(4, 4)] * 4
         assert np.abs(u - dense_square_mid_pulse(dev)).max() < 1e-10
         assert np.abs(u - direct_columns(dev, seqs)).max() < 1e-12
 
@@ -359,15 +360,15 @@ class TestSharedSquarePropagators:
         assert np.abs(u - dense_square_mid_pulse(dev)).max() < 1e-10
 
     def test_square_repetitions_share_across_cycles(self, monkeypatch):
-        # as for shaped pulses: the key used twice per cycle is shared over
-        # three cycles; the other three keys and the delay run per cycle
+        # the key used three times per cycle (both qubits pulsing) is shared
+        # over three cycles; the other two keys and the delay run per cycle
         dev = two_qubit_device(0.02, b=[[0.0, 0.0, 0.01], [0.0, 0.0, -0.03]])
         seqs = mid_pulse_schedules(SQUARE)
         u = cycle_propagator(dev, seqs)
         psi0 = product_state(("+y", "-x"))
         calls = count_expm_calls(monkeypatch)
         psi = evolve(dev, seqs, repetitions=3, psi0=psi0)
-        assert calls == [(4, 4)] + [(4, 1)] * 12
+        assert calls == [(4, 4)] + [(4, 1)] * 9
         assert np.abs(psi - np.linalg.matrix_power(u, 3) @ psi0).max() < 1e-12
 
 
@@ -486,6 +487,20 @@ class TestPrepareStates:
     def test_small_state_space_error(self):
         with pytest.raises(ValueError, match="pole assignments"):
             prepare_states(1, count_type2=14)
+
+    @pytest.mark.parametrize("counts", [
+        dict(count_type1=-1), dict(count_type1=7), dict(count_type1=2.0),
+        dict(count_type1=True), dict(count_type2=1.5), dict(count_type2=-1),
+        dict(count_type2=False),
+    ], ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
+    def test_refuses_counts_that_are_not_integers_in_range(self, counts):
+        # slicing and the draw loop would read -1 as 5 states, 7 as 6 and 1.5 as 2
+        with pytest.raises(ValueError, match="count_type"):
+            prepare_states(3, **counts)
+
+    def test_counts_at_their_bounds(self):
+        assert len(prepare_states(3, count_type1=0, count_type2=0)) == 0
+        assert len(prepare_states(3, count_type1=6, count_type2=0)) == 6
 
 
 class TestCrossModuleConsistency:

@@ -18,7 +18,7 @@ from .control import (
 )
 from .sim import (
     DeviceModel, StateSpec, SurvivalPoint, SurvivalRecord, cycle_propagator,
-    encode_decode_survival, evolve, idle_schedule, prepare_states,
+    evolve, idle_schedule, prepare_states,
 )
 from .fitting import (
     BootstrapCI, FitResult, bootstrap_mean_ci, fit_decay, time_avg_survival,

@@ -1,9 +1,11 @@
 """Hot numeric kernels, one numpy implementation each.
 
-``cf4_steps``
-    Per-step coefficients of the fourth-order commutator-free (CF4)
-    integrator for a single-qubit drive: two closed-form SU(2) factors per
-    step, built from the complex drive rate sampled at the two Gauss nodes.
+``cf4_chain``
+    The one shaped-pulse builder, for control and the DRAG calibration: the
+    unitaries after every step of the fourth-order commutator-free (CF4)
+    integrator (Blanes & Moan, Appl. Numer. Math. 56, 2006) for a single-qubit
+    drive, two closed-form SU(2) factors per step (``cf4_steps``) built from
+    the complex drive rate at the two Gauss nodes.
 
 ``su2_chain``
     Sequential composition of per-step SU(2) factors
@@ -61,6 +63,18 @@ def cf4_steps(w1, w2, h):
     c = h * (a1 * w1 + a2 * w2)
     d = h * (a2 * w1 + a1 * w2)
     return c.real, c.imag, d.real, d.imag
+
+
+def cf4_chain(rate, t0, h, n):
+    """Unitaries from I after each of ``n`` CF4 steps of length ``h`` from
+    ``t0``, shape (n + 1, 2, 2) with I first, for the complex drive rate
+    ``rate(t) = wx + i wy``, called on all steps at each Gauss node."""
+    t = t0 + np.arange(n) * h
+    g1, g2 = _GAUSS_NODES
+    out = np.empty((n + 1, 2, 2), dtype=np.complex128)
+    out[0] = np.eye(2)
+    su2_chain(*cf4_steps(rate(t + g1 * h), rate(t + g2 * h), h), out)
+    return out
 
 
 # ---------------------------------------------------------------------------

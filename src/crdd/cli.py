@@ -149,6 +149,8 @@ def _cmd_seq_pad(verb, rest):
     # lasts 0, so its pulse duration cannot stand in)
     tau_d = args.tau_d
     if tau_d is None:
+        if args.k < 1:
+            raise ValueError(f"--k must be >= 1, got {args.k}")
         tau_d = (args.k - 1) * sched.red.segments[0].duration
     padded = pad(sched, tau_d, args.mode)
     _write_text(args.out, padded.to_json(indent=2) + "\n", args.force)

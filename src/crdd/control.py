@@ -100,17 +100,6 @@ class TimeGrid:
         return True
 
 
-def _cf4_pulse(seg, phase, lo, hs, n):
-    """CF4 coefficients of ``n`` steps of ``hs`` from offset ``lo`` into ``seg``, at ``phase``."""
-    p = seg.pulse
-    g1, g2 = _kernels._GAUSS_NODES
-    t0 = lo + np.arange(n) * hs
-    axis = complex(math.cos(phase), math.sin(phase))
-    w1i, w1q = envelope_amplitude(p.shape, p.flip_angle, seg.duration, t0 + g1 * hs)
-    w2i, w2q = envelope_amplitude(p.shape, p.flip_angle, seg.duration, t0 + g2 * hs)
-    return _kernels.cf4_steps((w1i + 1j * w1q) * axis, (w2i + 1j * w2q) * axis, hs)
-
-
 def _plan_sequence(sequence, samples_per_pulse, partners=()):
     """Node layout of ``sequence`` on the cut it shares with ``partners``: the
     TimeGrid, each piece as ``{first node: (last node, part)}`` with ``part =
@@ -146,10 +135,13 @@ def _phase0_turns(seg, lo, hi, n):
     if seg.pulse.shape.kind == "square":
         rate = seg.pulse.flip_angle / seg.duration
         return _kernels.turns(0.0, rate * np.linspace(0.0, hi - lo, n + 1))
-    V = np.empty((n + 1, 2, 2), dtype=np.complex128)
-    V[0] = np.eye(2)
-    _kernels.su2_chain(*_cf4_pulse(seg, 0.0, lo, (hi - lo) / n, n), V)
-    return V
+    p = seg.pulse
+
+    def rate(t):
+        wi, wq = envelope_amplitude(p.shape, p.flip_angle, seg.duration, t)
+        return wi + 1j * wq
+
+    return _kernels.cf4_chain(rate, lo, (hi - lo) / n, n)
 
 
 def _local(build, part, n, cache):

@@ -1,6 +1,5 @@
 """Experiment orchestration: method parsing, pulse-count-normalized duration
-schedules, embedding generation, batch simulation, fitting, and summary
-tables.
+schedules, batch simulation, fitting, and summary tables.
 
 Durations are sampled at integer multiples of each method's cycle with equal
 pulse counts across active methods at every sampled point; IDLE runs pure
@@ -27,7 +26,7 @@ from .sim import decode_probabilities  # noqa: F401 - unused; perfbench wraps th
 __all__ = [
     "AlignmentError", "MethodSpec", "parse_method", "schedule_points",
     "ExperimentPlan", "default_plan", "run_experiment", "ExperimentResult",
-    "fit_dataset", "mean_by_duration", "FitRow", "summarize", "SummaryTable", "path_embeddings",
+    "fit_dataset", "mean_by_duration", "FitRow", "summarize", "SummaryTable",
     "write_results_csv", "read_results_csv", "write_fits_csv", "read_fits_csv",
 ]
 
@@ -82,23 +81,23 @@ def parse_method(label):
     s = label.strip()
     if s.upper() == "IDLE":
         return MethodSpec(s.upper(), "idle")
-    m = _SIM_RE.match(s)
-    if m:
-        base = canonical_name(m.group(1))
-        k = int(m.group(2)) if m.group(2) else 1
-        if k < 1:
-            raise ValueError(f"invalid padding multiple in {label!r}")
-        return MethodSpec(s, "sim", (base,), k)
-    m = _CR_RE.match(s)
-    if m:
+    if m := _SIM_RE.match(s):
+        spec = MethodSpec(s, "sim", (canonical_name(m.group(1)),), int(m.group(2) or 1))
+    elif m := _CR_RE.match(s):
         if m.group(1):
             bases = (canonical_name(m.group(1)), canonical_name(m.group(2)))
         else:
             bases = (canonical_name(m.group(3)),)
-        k = int(m.group(4)) if m.group(4) else 1
         mode = "symmetric" if (m.group(5) or "S") == "S" else "asymmetric"
-        return MethodSpec(s, "cr", bases, k, mode)
-    raise ValueError(f"cannot parse method label {label!r}")
+        spec = MethodSpec(s, "cr", bases, int(m.group(4) or 1), mode)
+    else:
+        raise ValueError(f"cannot parse method label {label!r}")
+    if spec.k < 1:
+        raise ValueError(f"invalid padding multiple in {label!r}")
+    return spec
+
+
+_SPACINGS = ("linear", "log2")
 
 
 def schedule_points(methods, target_pulses, spacing="linear", max_points=16):
@@ -125,7 +124,7 @@ def schedule_points(methods, target_pulses, spacing="linear", max_points=16):
         unit_counts = sorted({2 ** j for j in range(units.bit_length())
                               if 2 ** j <= units} | {units})
     else:
-        raise ValueError(f"unknown spacing {spacing!r}")
+        raise ValueError(f"unknown spacing {spacing!r}; expected one of {_SPACINGS}")
     pulse_counts = [u * g for u in unit_counts]
 
     out = {}
@@ -185,6 +184,8 @@ class ExperimentPlan:
             if not _is_integer(value) or value < low or (high is not None and value > high):
                 bound = f">= {low}" + (f" and <= {high}" if high is not None else "")
                 raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+        if self.spacing not in _SPACINGS:
+            raise ValueError(f"spacing must be one of {_SPACINGS}, got {self.spacing!r}")
         for m in self.methods:
             parse_method(m)
         for emb in self.embeddings:
@@ -521,38 +522,3 @@ def summarize(fits):
                          sim_med / idle_median if sim_med is not None and idle_median else None,
                          cr_med / sim_med if cr_med is not None and sim_med else None))
     return SummaryTable(tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# Embeddings
-# ---------------------------------------------------------------------------
-
-def path_embeddings(graph, length, count):
-    """Deterministic contiguous-path embeddings, greedily chosen to reduce
-    vertex overlap between selections."""
-    if length < 1 or length > graph.n:
-        raise ValueError("invalid embedding length")
-    paths = []
-    seen = set()
-
-    def extend(path):
-        if len(path) == length:
-            key = tuple(path) if path[0] <= path[-1] else tuple(reversed(path))
-            if key not in seen:
-                seen.add(key)
-                paths.append(key)
-            return
-        for w in graph.neighbors(path[-1]):
-            if w not in path:
-                extend(path + [w])
-
-    for v in range(graph.n):
-        extend([v])
-    chosen = []
-    used = set()
-    for _ in range(min(count, len(paths))):
-        best = min(paths, key=lambda p: (len(used & set(p)), p))
-        paths.remove(best)
-        chosen.append(best)
-        used |= set(best)
-    return tuple(chosen)

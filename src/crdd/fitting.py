@@ -70,11 +70,6 @@ def _as_arrays(points):
     return arr[:, 0], arr[:, 1]
 
 
-def _model(params, t):
-    a, g, c = params
-    return a * np.exp(-g * t) + c
-
-
 def _jacobian(params, t):
     a, g, _ = params
     e = np.exp(-g * t)

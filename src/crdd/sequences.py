@@ -202,12 +202,6 @@ class Sequence:
             t += s.duration
         return out
 
-    def repeated(self, times):
-        if times < 1:
-            raise ValueError("repetition count must be >= 1")
-        name = self.name if times == 1 else f"{times}x{self.name}"
-        return Sequence(self.segments * times, name=name)
-
     def to_dict(self):
         """JSON form: one shape for every pulse, flip angles pi.  Raises
         ValueError for a sequence that form cannot hold."""
@@ -395,19 +389,6 @@ def _drag_complex_envelope(theta, tau_p, sigma, beta, scale, detuning, t):
     return scale * (g + 1j * beta * tau_p * dg) * ramp
 
 
-def _drag_pulse_unitary(theta, sigma_ratio, beta, scale, detuning):
-    """Endpoint unitary of a drag pulse in tau_p = 1 units (CF4, closed-form steps)."""
-    n = _CAL_SAMPLES
-    h = 1.0 / n
-    t0 = np.arange(n) * h
-    w1, w2 = (_drag_complex_envelope(theta, 1.0, sigma_ratio, beta, scale, detuning,
-                                     t0 + g * h) for g in _kernels._GAUSS_NODES)
-    out = np.empty((n + 1, 2, 2), dtype=np.complex128)
-    out[0] = np.eye(2)
-    _kernels.su2_chain(*_kernels.cf4_steps(w1, w2, h), out)
-    return out[-1]
-
-
 def _calibrate_drag(sigma_ratio, beta):
     """Solve amplitude scale and detuning so the pulse is an exact pi rotation.
 
@@ -426,7 +407,10 @@ def _calibrate_drag(sigma_ratio, beta):
         return _DRAG_CALIBRATIONS[key]
 
     def components(b, scale, detuning):
-        u = _drag_pulse_unitary(math.pi, sigma_ratio, b, scale, detuning)
+        # endpoint of the pi pulse in tau_p = 1 units
+        u = _kernels.cf4_chain(
+            lambda t: _drag_complex_envelope(math.pi, 1.0, sigma_ratio, b, scale, detuning, t),
+            0.0, 1.0 / _CAL_SAMPLES, _CAL_SAMPLES)[-1]
         a = (u[0, 0] + u[1, 1]).real / 2
         bz = -((u[0, 0] - u[1, 1]) / 2).imag
         return np.array([a, bz])

@@ -30,7 +30,6 @@ Statevector dimension is capped at n = 14 qubits (dense representation).
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -45,8 +44,7 @@ from .sequences import (
 __all__ = [
     "MAX_QUBITS", "CapacityError", "DeviceModel", "StateSpec", "SurvivalPoint",
     "SurvivalRecord", "POLES", "IntegrationError", "prepare_states", "product_state",
-    "dense_hamiltonian", "evolve", "cycle_propagator", "encode_decode_survival",
-    "idle_schedule", "shot_rng",
+    "dense_hamiltonian", "evolve", "cycle_propagator", "idle_schedule", "shot_rng",
 ]
 
 MAX_QUBITS = 14
@@ -528,21 +526,3 @@ def sample_survival(probs, shots, rng):
         raise ValueError(f"probabilities must be finite and not all zero (sum {total})")
     cdf = np.cumsum(p / total)
     return int(np.count_nonzero(rng.random(shots) < cdf[0] / cdf[-1]))
-
-
-def encode_decode_survival(state, device, schedules, repetitions, shots, seed,
-                           samples_per_pulse=256):
-    """Encode the product state, protect for ``repetitions`` cycles, decode,
-    and estimate the all-zeros survival probability from sampled shots;
-    ``repetitions`` must be an integer >= 0 (see ``evolve``)."""
-    device = device.colored()
-    schedules = _normalize_schedules(device, schedules)
-    enc = product_state(state.poles)
-    psi = evolve(device, schedules, repetitions=repetitions, psi0=enc,
-                 samples_per_pulse=samples_per_pulse)
-    p0 = survival_probability(enc, psi)
-    rng = shot_rng(seed) if isinstance(seed, numbers.Integral) else shot_rng(*seed)
-    zeros = sample_survival((p0, 1.0 - p0), shots, rng)
-    duration = schedules[0].duration * repetitions
-    pulses = schedules[0].pulse_count * repetitions
-    return SurvivalPoint(duration, pulses, shots, zeros, zeros / shots)

@@ -85,8 +85,8 @@ def test_criterion_3_residual_ratio():
     for base, reps in (("XY4", 5), ("UR10", 2)):
         phases = named_phases(base) * reps
         sched_base = cr_dd(base, tau_p=1.0, shape=SQUARE)
-        sched = type(sched_base)(sched_base.red.repeated(reps),
-                                 sched_base.blue.repeated(reps))
+        sched = type(sched_base)(Sequence(sched_base.red.segments * reps),
+                                 Sequence(sched_base.blue.segments * reps))
         tr, _ = paired_traces(sched, S)
         vals[base] = chi1(tr).max_abs()
     ratio = vals["UR10"] / vals["XY4"]

@@ -68,6 +68,14 @@ class TestSeqVerbs:
         red_total = sum(s["duration_s"] for s in doc["red"]["slots"])
         assert red_total == pytest.approx(16.0)
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_pad_k_below_one_names_the_flag(self, tmp_path, sched_json, capsys, k):
+        out = tmp_path / "padded.json"
+        assert run("seq", "pad", "--schedule", str(sched_json), "--k", k,
+                   "--out", str(out)) == 2
+        assert "--k must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
     @pytest.mark.parametrize("shape", ["square", "ideal"])
     def test_pad_k_matches_stagger_k(self, tmp_path, shape, mode):

@@ -7,12 +7,12 @@ import pytest
 from crdd import _kernels
 from crdd.control import (
     RELATIONS, ControlTrace, GridMismatchError, IntegrationError, TimeGrid,
-    _adjoint_from_unitaries, _cf4_pulse, bang_bang_trace, chi1, chi2, classify_all,
+    _adjoint_from_unitaries, bang_bang_trace, chi1, chi2, classify_all,
     classify_symmetry, control_trace, paired_traces, propagate, verify_first_order,
 )
 from crdd.sequences import (
     ColoredSchedule, PulseShape, PulseSpec, Segment, Sequence, _common_cut, cr_dd,
-    named_phases, sim_dd, sim_variant,
+    envelope_amplitude, named_phases, sim_dd, sim_variant,
 )
 
 PI = math.pi
@@ -498,6 +498,21 @@ class TestNumericalInvariants:
         assert len(lines) == 1 + len(tr.grid.times)
 
 
+def real_phase_cf4(seg, lo, hs, n):
+    """CF4 coefficients of ``n`` steps of ``hs`` from offset ``lo`` into pulse
+    ``seg``, at its own drive phase."""
+    p = seg.pulse
+    axis = complex(math.cos(p.phase), math.sin(p.phase))
+
+    def rate(t):
+        wi, wq = envelope_amplitude(p.shape, p.flip_angle, seg.duration, t)
+        return (wi + 1j * wq) * axis
+
+    t0 = lo + np.arange(n) * hs
+    g1, g2 = _kernels._GAUSS_NODES
+    return _kernels.cf4_steps(rate(t0 + g1 * hs), rate(t0 + g2 * hs), hs)
+
+
 def step_chain(sequence, samples_per_pulse, partners=()):
     """Oracle for ``propagate``: every CF4 step of the cycle at its real drive
     phase, delays as zero steps and ideal pulses as one-factor steps, chained
@@ -526,7 +541,7 @@ def step_chain(sequence, samples_per_pulse, partners=()):
         if seg.kind == "delay":
             runs.append((np.full(n, hs),) + (np.zeros(n),) * 4)
         else:
-            runs.append((np.full(n, hs), *_cf4_pulse(seg, seg.pulse.phase, lo, hs, n)))
+            runs.append((np.full(n, hs), *real_phase_cf4(seg, lo, hs, n)))
         pieces.append((node, node + n))
         node += n
         sep = True

@@ -5,10 +5,10 @@ import pytest
 
 from crdd.experiment import (
     AlignmentError, ExperimentPlan, ExperimentResult, FitRow, default_plan, fit_dataset,
-    mean_by_duration, parse_method, path_embeddings, read_fits_csv, read_results_csv,
+    mean_by_duration, parse_method, read_fits_csv, read_results_csv,
     run_experiment, schedule_points, summarize, write_fits_csv, write_results_csv,
 )
-from crdd.sequences import PulseShape, QubitGraph, two_color
+from crdd.sequences import PulseShape
 from crdd.sim import (
     DeviceModel, SurvivalPoint, SurvivalRecord, cycle_propagator, decode_probabilities,
     idle_schedule, prepare_states, product_state, shot_rng,
@@ -65,6 +65,15 @@ class TestParseMethod:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_method("DD-XY4")
+
+    @pytest.mark.parametrize("label", ["SIM-XY4-0", "CR-XY4-0S", "CR-XY4-0A",
+                                       "CR-(XY4,UR12)-0_S"])
+    def test_rejects_zero_padding_multiple(self, label):
+        # a plan would accept the label and the run would fail at its start
+        with pytest.raises(ValueError, match="invalid padding multiple"):
+            parse_method(label)
+        with pytest.raises(ValueError, match="invalid padding multiple"):
+            tiny_plan(methods=(label,))
 
 
 class TestSchedulePoints:
@@ -388,26 +397,6 @@ class TestCsvLabels:
         assert '2,"(XY4,UR12)",' in summary.read_text()
 
 
-class TestEmbeddings:
-    def test_paths_on_path_graph(self):
-        g = two_color(QubitGraph.path(6))
-        embs = path_embeddings(g, 3, 2)
-        assert len(embs) == 2
-        assert all(len(e) == 3 for e in embs)
-        for e in embs:
-            for a, b in zip(e, e[1:]):
-                assert (min(a, b), max(a, b)) in g.edges
-
-    def test_deterministic(self):
-        g = two_color(QubitGraph.path(8))
-        assert path_embeddings(g, 4, 3) == path_embeddings(g, 4, 3)
-
-    def test_overlap_minimized_first(self):
-        g = two_color(QubitGraph.path(8))
-        embs = path_embeddings(g, 4, 2)
-        assert set(embs[0]).isdisjoint(set(embs[1]))
-
-
 class TestPlanJson:
     def test_roundtrip(self):
         plan = default_plan()
@@ -435,6 +424,12 @@ class TestPlanJson:
         plan = tiny_plan(embeddings=((np.int64(1), np.int32(0)),))
         assert plan.embeddings == ((1, 0),)
         assert all(type(v) is int for v in plan.embeddings[0])
+
+    @pytest.mark.parametrize("spacing", ["cubic", "LOG2", None])
+    def test_unknown_spacing_refused(self, spacing):
+        # refused when the plan is built, not when the run starts
+        with pytest.raises(ValueError, match="spacing must be one of"):
+            tiny_plan(spacing=spacing)
 
     @pytest.mark.parametrize("embs", [(), ((),), ((0, 1), ())])
     def test_empty_embeddings_refused(self, embs):

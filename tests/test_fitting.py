@@ -18,7 +18,7 @@ def scipy_multistart_rss(t, p):
     from scipy.optimize import least_squares
     best = math.inf
     for g0 in np.logspace(-4, 1, 8):
-        sol = least_squares(lambda x: fitting._model(x, t) - p, [0.5, g0, 0.1],
+        sol = least_squares(lambda x: x[0] * np.exp(-x[1] * t) + x[2] - p, [0.5, g0, 0.1],
                             jac=lambda x: fitting._jacobian(x, t),
                             bounds=([0.0, 0.0, 0.0], [1.0, np.inf, 1.0]),
                             x_scale=[1.0, g0, 1.0], ftol=1e-15, xtol=1e-15, gtol=1e-15)
@@ -59,7 +59,7 @@ class TestFitDecay:
         p = 0.7 * np.exp(-0.05 * t) + 0.2 + rng.normal(0, 0.01, len(t))
         fit = fit_decay(list(zip(t, p)))
         params = np.array([fit.A, fit.gamma, fit.c])
-        resid = fitting._model(params, t) - p
+        resid = fit.A * np.exp(-fit.gamma * t) + fit.c - p
         grad = fitting._jacobian(params, t).T @ resid
         # projected gradient on A, c in [0, 1], gamma >= 0: a component that
         # pushes outward at an active bound is not a failure to converge

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from crdd import _kernels
+from crdd import _kernels, sequences
+from crdd.sequences import PulseShape, envelope_amplitude
 
 X = np.array([[0, 1], [1, 0]], complex)
 Y = np.array([[0, -1j], [1j, 0]], complex)
@@ -60,6 +61,34 @@ class TestSu2Chain:
         out = chain(np.array([np.pi]), z, z, z, np.eye(2))
         expected = np.array([[0, -1j], [-1j, 0]])
         assert np.abs(out[1] - expected).max() < 1e-15
+
+
+def envelope_rate(shape):
+    """Complex drive rate of a pi pulse of ``shape`` in tau_p = 1 units."""
+    def rate(t):
+        wi, wq = envelope_amplitude(shape, np.pi, 1.0, t)
+        return wi + 1j * wq
+    return rate
+
+
+class TestCf4Chain:
+    def test_calibrated_drag_pi_pulse(self):
+        scale, detuning = sequences._calibrate_drag(0.25, 0.1)
+        out = _kernels.cf4_chain(
+            lambda t: sequences._drag_complex_envelope(np.pi, 1.0, 0.25, 0.1, scale, detuning, t),
+            0.0, 1.0 / sequences._CAL_SAMPLES, sequences._CAL_SAMPLES)
+        assert out.shape == (sequences._CAL_SAMPLES + 1, 2, 2)
+        assert np.array_equal(out[0], np.eye(2))
+        assert np.abs(out[-1] - np.array([[0, -1j], [-1j, 0]])).max() <= 1e-13
+
+    @pytest.mark.parametrize("shape", [PulseShape.gaussian(), PulseShape.gaussian_drag(
+        drag_coefficient=0.1)], ids=lambda s: s.kind)
+    def test_fourth_order(self, shape):
+        rate = envelope_rate(shape)
+        ref = _kernels.cf4_chain(rate, 0.0, 1.0 / 4096, 4096)[-1]
+        errs = [np.abs(_kernels.cf4_chain(rate, 0.0, 1.0 / n, n)[-1] - ref).max()
+                for n in (16, 32, 64, 128)]
+        assert min(np.log2(np.divide(errs[:-1], errs[1:]))) >= 3.9
 
 
 def dense_h(ax, ay, diag):

@@ -9,9 +9,9 @@ from crdd.control import chi1, control_trace
 from crdd.sequences import PulseShape, QubitGraph, Segment, Sequence, cr_dd, sim_dd, two_color
 from crdd.sim import (
     CapacityError, DeviceModel, IntegrationError, cycle_propagator,
-    decode_probabilities, dense_hamiltonian, encode_decode_survival, evolve,
+    decode_probabilities, dense_hamiltonian, evolve,
     hamiltonian_diagonal, idle_schedule, prepare_states, product_state,
-    sample_survival, shot_rng, StateSpec,
+    sample_survival, shot_rng, StateSpec, survival_probability,
 )
 
 PI = math.pi
@@ -169,8 +169,6 @@ class TestEvolveOracles:
         with pytest.raises(ValueError, match="repetitions"):
             evolve(dev, [cr.red, cr.blue], repetitions=repetitions,
                    psi0=product_state(state.poles))
-        with pytest.raises(ValueError, match="repetitions"):
-            encode_decode_survival(state, dev, [cr.red, cr.blue], repetitions, 100, 1)
 
     def test_zero_repetitions_is_identity(self):
         dev = DeviceModel.default(n=2)
@@ -411,10 +409,13 @@ class TestSurvival:
         sched = cr_dd("XY4", tau_p=1.0, shape=SQUARE)
         seqs = [sched.red, sched.blue]
         state = StateSpec("type1", ("+x", "+x"), "type1_+x")
-        pt = encode_decode_survival(state, dev, seqs, repetitions=2, shots=200, seed=3)
-        assert pt.p0_estimate == 1.0
-        assert pt.pulses_applied == 8
-        assert pt.duration_s == pytest.approx(16.0)
+        enc = product_state(state.poles)
+        psi = evolve(dev, seqs, repetitions=2, psi0=enc)
+        p0 = survival_probability(enc, psi)
+        zeros = sample_survival((p0, 1.0 - p0), 200, shot_rng(3))
+        assert zeros / 200 == 1.0
+        assert 2 * sched.red.pulse_count == 8
+        assert 2 * sched.red.duration == pytest.approx(16.0)
 
     def test_against_brute_force_oracle(self):
         # J-only free evolution of an encoded |++>: decode probabilities must
@@ -439,27 +440,14 @@ class TestSurvival:
         delta = PI / 4
         dev = single_qubit_device((0.0, 0.0, delta))
         state = StateSpec("type1", ("+x",), "type1_+x")
+        enc = product_state(state.poles)
+        p0 = survival_probability(enc, evolve(dev, idle_schedule(1.0), psi0=enc))
         hits = 0
         for seed in range(100):
-            pt = encode_decode_survival(state, dev, idle_schedule(1.0),
-                                        repetitions=1, shots=1000, seed=seed)
-            if 0.45 <= pt.p0_estimate <= 0.55:
+            zeros = sample_survival((p0, 1.0 - p0), 1000, shot_rng(seed))
+            if 0.45 <= zeros / 1000 <= 0.55:
                 hits += 1
         assert hits >= 93
-
-    def test_numpy_integer_seed(self):
-        dev = DeviceModel.default(n=2)
-        state = StateSpec("type1", ("+x", "+x"), "type1_+x")
-        pts = [encode_decode_survival(state, dev, idle_schedule(1e-6), 2, 10, seed)
-               for seed in (np.int64(3), 3)]
-        assert pts[0] == pts[1]
-
-    def test_seeded_determinism(self):
-        dev = two_qubit_device(0.01)
-        state = StateSpec("type1", ("+y", "+y"), "type1_+y")
-        pts = [encode_decode_survival(state, dev, idle_schedule(4.0), 1, 500, 42)
-               for _ in range(2)]
-        assert pts[0] == pts[1]
 
 
 class TestPrepareStates:

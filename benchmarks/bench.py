@@ -45,8 +45,13 @@ def tier1():
                            "--continue-on-collection-errors"],
                           cwd=ROOT, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - t0
-    summary = proc.stdout.strip().splitlines()[-1]
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
     count = {k: int(n) for n, k in re.findall(r"(\d+) (passed|failed|error)", summary)}
+    # pytest exits 0 when every test passed and 1 when some failed; any other
+    # code (interrupted, internal or usage error, nothing collected) or a
+    # summary without counts is no result to record
+    if proc.returncode not in (0, 1) or not count:
+        raise RuntimeError(f"pytest exited {proc.returncode} with summary {summary!r}")
     return {"passed": count.get("passed", 0),
             "failed": count.get("failed", 0) + count.get("error", 0), "wall_s": wall}
 

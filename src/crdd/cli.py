@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -77,6 +78,16 @@ def _make_shape(args):
     return PulseShape(kind, sigma=args.sigma, drag_coefficient=args.drag_coefficient)
 
 
+def _check_k(k):
+    if k < 1:
+        raise ValueError(f"--k must be >= 1, got {k}")
+
+
+def _check_tau_p(tau_p):
+    if not (math.isfinite(tau_p) and tau_p > 0):
+        raise ValueError(f"--tau-p must be finite and > 0, got {tau_p}")
+
+
 def _load_target(args):
     """Sequence or ColoredSchedule named by --sequence/--schedule."""
     if args.sequence is not None:
@@ -117,6 +128,7 @@ def _cmd_seq_build(verb, rest):
     p.add_argument("--name", required=True)
     p.add_argument("--tau-p", type=float, required=True)
     args = p.parse_args(rest)
+    _check_tau_p(args.tau_p)
     seq = build_named(args.name, args.tau_p, _make_shape(args))
     _write_text(args.out, seq.to_json(indent=2) + "\n", args.force)
     print(f"wrote {args.out}: {seq.pulse_count} pulses, cycle {seq.duration:.6g} s")
@@ -130,6 +142,8 @@ def _cmd_seq_stagger(verb, rest):
     p.add_argument("--k", type=int, default=1, help="padding multiple (tau_d=(k-1)tau_p)")
     p.add_argument("--mode", default="symmetric", choices=["symmetric", "asymmetric"])
     args = p.parse_args(rest)
+    _check_tau_p(args.tau_p)
+    _check_k(args.k)
     sched = cr_dd(args.red, args.blue, tau_p=args.tau_p, shape=_make_shape(args),
                   k=args.k, mode=args.mode)
     _write_text(args.out, sched.to_json(indent=2) + "\n", args.force)
@@ -145,13 +159,12 @@ def _cmd_seq_pad(verb, rest):
     p.add_argument("--mode", default="symmetric", choices=["symmetric", "asymmetric"])
     args = p.parse_args(rest)
     sched = _read_json(ColoredSchedule, args.schedule)
-    # tau_p is the stagger delay opening an unpadded red slot (an ideal pulse
-    # lasts 0, so its pulse duration cannot stand in)
+    # every pulse, ideal ones included (they turn mid-slot), lasts tau_p; pad
+    # refuses a schedule whose pulses do not fill its stagger slots
     tau_d = args.tau_d
     if tau_d is None:
-        if args.k < 1:
-            raise ValueError(f"--k must be >= 1, got {args.k}")
-        tau_d = (args.k - 1) * sched.red.segments[0].duration
+        _check_k(args.k)
+        tau_d = (args.k - 1) * sched.red.pulse_duration
     padded = pad(sched, tau_d, args.mode)
     _write_text(args.out, padded.to_json(indent=2) + "\n", args.force)
     print(f"wrote {args.out}: cycle {padded.duration:.6g} s")

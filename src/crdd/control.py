@@ -10,8 +10,8 @@ the drive axis on a square pulse.  On a shaped pulse it is the fourth-order
 commutator-free (CF4) chain, two closed-form SU(2) factors per step sampled at
 the Gauss-Legendre nodes.  A pulse's V_loc is built at phase 0 once per call
 and key, and conjugated by exp(-i phase Z/2) (virtual Z, McKay et al., PRA 96,
-022330 (2017)).  Ideal pulses are exact rotations at an instant.  Every node
-is checked for unitarity.
+022330 (2017)).  An ideal pulse is I through its slot around an exact rotation
+at the slot's midpoint.  Every node is checked for unitarity.
 
 The control matrix follows R[mu, alpha](t) = Tr[U(t)^dag s_mu U(t) s_alpha]/2,
 an SO(3) rotation with R(0) = I.  Every node starts from the identity, so it

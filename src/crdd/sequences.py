@@ -112,7 +112,7 @@ class PulseShape:
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """A single pi-pulse: phase, flip angle, duration and envelope."""
+    """A single pi-pulse: phase, flip angle, duration and envelope; ideal ones turn mid-slot."""
 
     phase: float
     duration: float
@@ -123,11 +123,8 @@ class PulseSpec:
         for name in ("phase", "duration", "flip_angle"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"pulse {name} must be finite, got {getattr(self, name)!r}")
-        if self.shape.is_ideal:
-            if self.duration != 0.0:
-                raise ValueError("ideal pulses are instantaneous (duration must be 0)")
-        elif not self.duration > 0:
-            raise ValueError("bounded pulses require duration > 0")
+        if not (self.duration >= 0 if self.shape.is_ideal else self.duration > 0):
+            raise ValueError(f"pulse duration must be > 0 (>= 0 if ideal), got {self.duration!r}")
 
 
 @dataclass(frozen=True)
@@ -296,15 +293,16 @@ def _common_cut(sequences, samples_per_pulse):
     to the common duration; edges closer than ``tol = 1e-12`` times the
     duration merge into the earliest.  ``pieces[i] = (n, parts)`` steps
     ``[edges[i], edges[i + 1]]`` in ``n = 2 max(1, round(length / 2h))``, with
-    ``h`` the longest bounded pulse (else the shortest segment) over
+    ``h`` the longest pulse (else the shortest segment) over
     ``samples_per_pulse``; ``parts`` holds per sequence ``(segment, lo, hi,
     key)``, offsets into that segment that are exactly 0 and its duration at
-    its own edges.  ``key`` is None on a delay, else shape, flip angle,
-    duration and, on the ``tol`` grid, ``lo`` and ``hi`` (shaped) or ``hi -
-    lo`` (square: the rate is constant); equal keys differ only in drive
-    phase, a Z rotation either side (virtual Z, McKay et al., PRA 96, 022330
-    (2017)).  ``events`` maps an edge index to the zero-duration pulses at
-    that edge, as ``(sequence index, PulseSpec)`` in sequence order.  Raises
+    its own edges.  ``key`` is None on a delay or an ideal pulse's slot, else
+    shape, flip angle, duration and, on the ``tol`` grid, ``lo`` and ``hi``
+    (shaped) or ``hi - lo`` (square: the rate is constant); equal keys differ
+    only in drive phase, a Z rotation either side (virtual Z, McKay et al.,
+    PRA 96, 022330 (2017)).  An ideal pulse turns instantly at its slot's
+    midpoint; ``events`` maps an edge index to the turns there, as
+    ``(sequence index, PulseSpec)`` in sequence order.  Raises
     ValueError when the durations differ or ``samples_per_pulse`` is not an
     integer >= 16.
     """
@@ -318,17 +316,18 @@ def _common_cut(sequences, samples_per_pulse):
     for q, seq in enumerate(sequences):
         own, t = [], 0.0
         for s in seq.segments:
+            end = t + s.duration
             if s.duration > 0:
-                end = t + s.duration
                 own.append((t, end, s))
                 cuts.update((t, end))
-                t = end
-            elif s.kind == "pulse":
-                instants.append((t, q, s.pulse))
-                cuts.add(t)
+            if s.kind == "pulse" and s.pulse.shape.is_ideal:
+                mid = t + s.duration / 2
+                instants.append((mid, q, s.pulse))
+                cuts.add(mid)
+            t = end
         spans.append(own)
-    bounded = [s.duration for own in spans for _, _, s in own if s.kind == "pulse"]
-    reference = max(bounded) if bounded else min(s.duration for own in spans for _, _, s in own)
+    widths = [s.duration for own in spans for _, _, s in own if s.kind == "pulse"]
+    reference = max(widths) if widths else min(s.duration for own in spans for _, _, s in own)
     h = reference / samples_per_pulse
     edges, merged_into = [], {}
     for c in sorted(cuts):
@@ -343,7 +342,8 @@ def _common_cut(sequences, samples_per_pulse):
         parts = []
         for start, end, seg in own:
             # the pieces from the edge the segment starts at to the one it ends at
-            first, stop, p = merged_into[start], merged_into[end], seg.pulse
+            first, stop = merged_into[start], merged_into[end]
+            p = None if seg.kind == "delay" or seg.pulse.shape.is_ideal else seg.pulse
             if p is not None:
                 square, head = p.shape.kind == "square", (p.shape, p.flip_angle, seg.duration)
             for i in range(first, stop):
@@ -556,19 +556,13 @@ def canonical_name(name):
 def build_named(name, tau_p, shape):
     """Catalog sequence as back-to-back pulses (delay slots come from the
     SIM/CR transforms)."""
-    phases = named_phases(name)
-    dur = 0.0 if shape.is_ideal else float(tau_p)
-    segs = tuple(Segment.for_pulse(p, dur, shape) for p in phases)
+    segs = tuple(Segment.for_pulse(p, tau_p, shape) for p in named_phases(name))
     return Sequence(segs, name=canonical_name(name))
 
 
 # ---------------------------------------------------------------------------
 # Transforms
 # ---------------------------------------------------------------------------
-
-def _pulse_seg(phase, tau_p, shape):
-    return Segment.for_pulse(phase, 0.0 if shape.is_ideal else tau_p, shape)
-
 
 def _slot(parts):
     return [s for s in parts if not (s.kind == "delay" and s.duration == 0.0)]
@@ -582,7 +576,7 @@ def sim_variant(phases, tau_p, tau_d, shape, name=""):
         raise ValueError("tau_d must be >= 0")
     segs = []
     for p in phases:
-        segs.extend(_slot([_pulse_seg(p, tau_p, shape), Segment.delay(tau_d)]))
+        segs.extend(_slot([Segment.for_pulse(p, tau_p, shape), Segment.delay(tau_d)]))
     return Sequence(tuple(segs), name=name)
 
 
@@ -610,8 +604,8 @@ def _stagger(phases_r, phases_b, tau_p, tau_d, mode, shape, name):
     segs_r, segs_b = [], []
     for pr, pb in zip(phases_r, phases_b):
         segs_r.extend(_slot([Segment.delay(lead), Segment.delay(tau_p), Segment.delay(tau_d),
-                             _pulse_seg(pr, tau_p, shape), Segment.delay(trail)]))
-        segs_b.extend(_slot([Segment.delay(lead), _pulse_seg(pb, tau_p, shape),
+                             Segment.for_pulse(pr, tau_p, shape), Segment.delay(trail)]))
+        segs_b.extend(_slot([Segment.delay(lead), Segment.for_pulse(pb, tau_p, shape),
                              Segment.delay(tau_d), Segment.delay(tau_p), Segment.delay(trail)]))
     return ColoredSchedule(Sequence(tuple(segs_r), name=f"{name}[red]"),
                            Sequence(tuple(segs_b), name=f"{name}[blue]"))
@@ -652,46 +646,25 @@ def cr_dd(name_r, name_b=None, tau_p=None, shape=None, k=1, mode="symmetric"):
                     mode, shape, label)
 
 
-def _unpack_cr(schedule):
-    """Recover (phases_r, phases_b, tau_p, shape) from an unpadded CR schedule."""
-    def side(seq, delay_first):
-        phases = []
-        segs = list(seq.segments)
-        if len(segs) % 2 or not segs:
-            raise ValueError("not an unpadded staggered schedule")
-        tau_p = None
-        shape = None
-        for i in range(0, len(segs), 2):
-            a, b = segs[i], segs[i + 1]
-            d, p = (a, b) if delay_first else (b, a)
-            if d.kind != "delay" or p.kind != "pulse":
-                raise ValueError("not an unpadded staggered schedule")
-            if tau_p is None:
-                tau_p, shape = d.duration, p.pulse.shape
-            if d.duration != tau_p:
-                raise ValueError("not an unpadded staggered schedule")
-            phases.append(p.pulse.phase)
-        return phases, tau_p, shape
-
-    pr, tau_p, shape = side(schedule.red, True)
-    pb, tau_p_b, _ = side(schedule.blue, False)
-    if tau_p != tau_p_b:
-        raise ValueError("red/blue stagger delays differ")
-    return pr, pb, tau_p, shape
-
-
 def pad(schedule, tau_d, mode):
     """Insert extra delay tau_d around each pulse, symmetrically or
     asymmetrically, preserving the stagger.  Cycle duration becomes
-    2 L (tau_p + tau_d)."""
+    2 L (tau_p + tau_d).  Raises ValueError unless ``schedule`` is the
+    unpadded stagger of its phases, stagger delay and first pulse shape."""
     suffix = _pad_suffix(mode)
     if tau_d < 0:
         raise ValueError("tau_d must be >= 0")
+    red, blue = schedule.red, schedule.blue
+    # the stagger delay opens every unpadded red slot
+    tau_p = red.segments[0].duration
+    shape = next((s.pulse.shape for s in red.segments if s.kind == "pulse"), None)
+    unpadded = cr_variant(red.phases, blue.phases, tau_p, shape)
+    if (unpadded.red.segments, unpadded.blue.segments) != (red.segments, blue.segments):
+        raise ValueError("not an unpadded staggered schedule")
     if tau_d == 0:
         return schedule
-    pr, pb, tau_p, shape = _unpack_cr(schedule)
-    base = schedule.red.name.replace("[red]", "")
-    return _stagger(pr, pb, tau_p, tau_d, mode, shape, f"{base}-pad{suffix}")
+    base = red.name.replace("[red]", "")
+    return _stagger(red.phases, blue.phases, tau_p, tau_d, mode, shape, f"{base}-pad{suffix}")
 
 
 # ---------------------------------------------------------------------------

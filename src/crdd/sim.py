@@ -11,8 +11,8 @@ diagonal, else a scaled Taylor series).  Intervals inside shaped envelopes
 take fixed-step RK4 with drive coefficients sampled one-sidedly per step at
 offsets into each segment, so envelopes never leak across segment
 boundaries; RK4 on enough columns of a small system composes the transfer
-matrices of its steps (see ``evolve``).  Ideal pulses are exact
-instantaneous rotations.
+matrices of its steps (see ``evolve``).  An ideal pulse idles through its
+slot and turns instantly, by an exact rotation, at the slot's midpoint.
 
 Pulsed intervals, square or shaped, that differ only in the drive phases of
 their pulses share one propagator, keyed by their pulsing qubits' keys: a
@@ -292,7 +292,8 @@ _STEP_ANGLE_CAP = 6e-3
 def _compile_cycle(device, schedules, samples_per_pulse, diag):
     """One cycle as time-ordered spans ``(kind, key, phis, ...)``:
 
-    * ``("rot", None, None, [(q, phase, angle), ...])``: ideal rotations;
+    * ``("rot", None, None, [(q, phase, angle), ...])``: ideal turns, each at
+      its slot's midpoint (the slot's parts are keyed None, as delays are);
     * ``("exact", key, phis, t, ax, ay)``: every qubit sits in a delay or a
       square pulse, so H is constant with rates ``ax, ay`` (n,) for ``t``;
     * ``("rk4", key, phis, h, ax, ay)``: a shaped envelope, in RK4 steps
@@ -319,8 +320,8 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
         driven at phase 0."""
         ax = np.zeros(offsets.shape + (n,))
         ay = np.zeros(offsets.shape + (n,))
-        for q, (s, lo, _, _) in enumerate(parts):
-            if s.kind == "pulse":
+        for q, (s, lo, _, key) in enumerate(parts):
+            if key is not None:
                 p = s.pulse
                 local = np.clip(lo + offsets, 0.0, s.duration)
                 wi, wq = envelope_amplitude(p.shape, p.flip_angle, s.duration,
@@ -339,7 +340,7 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
         """``("exact", t, ax, ay)`` when every qubit sits in a delay or a
         square pulse, else ``("rk4", h, ax, ay)`` in at least ``nst`` RK4
         steps."""
-        if all(s.kind == "delay" or s.pulse.shape.kind == "square" for s, *_ in parts):
+        if all(key is None or s.pulse.shape.kind == "square" for s, _, _, key in parts):
             return ("exact", t, *drive(parts, np.array(0.0), phased))
 
         def sample(nst):
@@ -435,7 +436,6 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
         raise ValueError(f"norm_tol must be finite and > 0; got {norm_tol}")
     if not _is_integer(repetitions) or repetitions < 0:
         raise ValueError(f"repetitions must be an integer >= 0, got {repetitions!r}")
-    device = device.colored()
     schedules = _normalize_schedules(device, schedules)
     dim = 1 << device.n
     psi = np.array(np.eye(1, dim)[0] if psi0 is None else psi0, dtype=complex)

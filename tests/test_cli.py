@@ -7,7 +7,7 @@ import pytest
 from crdd import cli
 from crdd.cli import main
 from crdd.experiment import ExperimentPlan, read_fits_csv
-from crdd.sequences import PulseShape, cr_dd
+from crdd.sequences import ColoredSchedule, PulseShape, Segment, Sequence, cr_dd, named_phases
 from crdd.sim import DeviceModel
 
 
@@ -76,10 +76,27 @@ class TestSeqVerbs:
         assert "--k must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_stagger_k_below_one_names_the_flag(self, tmp_path, capsys, k):
+        out = tmp_path / "cr.json"
+        assert run("seq", "stagger", "--red", "xy4", "--tau-p", "1.0", "--k", k,
+                   "--out", str(out)) == 2
+        assert "--k must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tau_p", ["-1.0", "0", "nan", "inf"])
+    @pytest.mark.parametrize("shape", ["ideal", "square", "gaussian", "gaussian-drag"])
+    @pytest.mark.parametrize("verb", [("seq", "build", "--name"), ("seq", "stagger", "--red")])
+    def test_unusable_tau_p_names_the_flag(self, tmp_path, capsys, verb, shape, tau_p):
+        out = tmp_path / "x.json"
+        assert run(*verb, "xy4", "--tau-p", tau_p, "--shape", shape, "--out", str(out)) == 2
+        assert "--tau-p must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
     @pytest.mark.parametrize("shape", ["square", "ideal"])
     def test_pad_k_matches_stagger_k(self, tmp_path, shape, mode):
-        # ideal pulses take no time; tau_d still comes from the stagger delay
+        # tau_d is (k - 1) times the pulse width, which an ideal pulse's slot keeps
         base, padded = tmp_path / "base.json", tmp_path / "padded.json"
         assert run("seq", "stagger", "--red", "xy4", "--tau-p", "5.69e-8", "--shape", shape,
                    "--out", str(base)) == 0
@@ -120,11 +137,31 @@ class TestAnalyzeVerbs:
         assert "PASS" in capsys.readouterr().out
         assert out.exists()
 
-    def test_verify_ideal_stagger(self, tmp_path):
+    def test_verify_ideal_stagger(self, tmp_path, capsys):
         sched = tmp_path / "ideal.json"
         assert run("seq", "stagger", "--red", "xy4", "--tau-p", "1.0", "--shape", "ideal",
                    "--out", str(sched)) == 0
         assert run("verify", "--schedule", str(sched), "--samples", "32") == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_zero_duration_ideal_schedule_reads_as_before(self, tmp_path, capsys):
+        # the bang-bang layout of instants in unit stagger slots: it reads,
+        # its colors turn together, and pad refuses it as no pulse-slot stagger
+        ideal = PulseShape.ideal()
+        red = Sequence([seg for ph in named_phases("XY4")
+                        for seg in (Segment.delay(1.0), Segment.for_pulse(ph, 0.0, ideal))])
+        blue = Sequence([seg for ph in named_phases("XY4")
+                         for seg in (Segment.for_pulse(ph, 0.0, ideal), Segment.delay(1.0))])
+        path = tmp_path / "bang_bang.json"
+        path.write_text(ColoredSchedule(red, blue).to_json())
+        assert ColoredSchedule.from_json(path.read_text()) == ColoredSchedule(red, blue)
+        assert run("verify", "--schedule", str(path), "--samples", "32") == 0
+        assert "FAIL (max |chi2|/tau_c = 1.000e+00)" in capsys.readouterr().out
+        for k in ("1", "2"):
+            out = tmp_path / f"padded{k}.json"
+            assert run("seq", "pad", "--schedule", str(path), "--k", k, "--out", str(out)) == 2
+            assert "not an unpadded staggered schedule" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_verify_rejects_non_finite_phase(self, tmp_path, seq_json, capsys):
         doc = json.loads(seq_json.read_text())

@@ -162,6 +162,8 @@ class TestPartners:
         for seq in (sched.red, sched.blue):
             t = 0.0
             for seg in seq.segments:
+                if shape.is_ideal and seg.kind == "pulse":
+                    edges.add(t + seg.duration / 2)  # the turn at the slot's midpoint
                 t += seg.duration
                 edges.add(t)
         for trace in paired_traces(sched, 32, ideal=shape.is_ideal):
@@ -280,8 +282,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", ["XY4", "EDD", "KDD", "UR10", "UR12", "RGA64c"])
     def test_ideal_cr_numeric_matches_bang_bang(self, name):
-        # blue pulses at t = 0 and red at tau_c: instants the other color
-        # lacks must not shift its pieces
+        # each color turns at its slots' midpoints, instants the other color
+        # lacks: they must not shift its pieces
         sched = cr_dd(name, tau_p=1.0, shape=IDEAL)
         tr, tb = paired_traces(sched, 32)
         assert tr.grid.pieces == tb.grid.pieces
@@ -289,6 +291,14 @@ class TestVerify:
         bang = chi2(*paired_traces(sched, 32, ideal=True)).values
         assert np.abs(numeric - bang).max() <= 1e-12 * sched.duration
         assert len(verify_first_order(sched, 32).rows) == 27
+
+    @pytest.mark.parametrize("k, mode", [(1, "symmetric"), (3, "symmetric"), (2, "asymmetric")])
+    @pytest.mark.parametrize("name", ["XY4", "EDD", "KDD", "UR10", "UR12", "RGA64c"])
+    def test_ideal_cr_schedules_verify(self, name, k, mode):
+        # an ideal pulse turns mid-slot, so the stagger keeps the colors apart
+        sched = cr_dd(name, tau_p=5.69e-8, shape=IDEAL, k=k, mode=mode)
+        rep = verify_first_order(sched, 32, tol=1e-12)
+        assert rep.passed and rep.two_local_max_relative <= 1e-12
 
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -515,9 +525,10 @@ def real_phase_cf4(seg, lo, hs, n):
 
 def step_chain(sequence, samples_per_pulse, partners=()):
     """Oracle for ``propagate``: every CF4 step of the cycle at its real drive
-    phase, delays as zero steps and ideal pulses as one-factor steps, chained
-    from I by ``su2_chain``, over the cut's step counts and offsets.  Returns
-    the node times, the pieces and U."""
+    phase, delays and the two halves of an ideal pulse's slot as zero steps,
+    and the ideal turns as one-factor steps, chained from I by ``su2_chain``,
+    over the cut's step counts and offsets.  Returns the node times, the
+    pieces and U."""
     edges, cut, instants = _common_cut((sequence, *partners), samples_per_pulse)
     zero = np.zeros(1)
     runs, pieces, node, sep = [], [], 0, False  # runs of (dt, cx, cy, dx, dy)
@@ -538,7 +549,7 @@ def step_chain(sequence, samples_per_pulse, partners=()):
             runs.append((zero,) * 5)
             node += 1
         hs = (hi - lo) / n
-        if seg.kind == "delay":
+        if seg.kind == "delay" or seg.pulse.shape.is_ideal:
             runs.append((np.full(n, hs),) + (np.zeros(n),) * 4)
         else:
             runs.append((np.full(n, hs), *real_phase_cf4(seg, lo, hs, n)))

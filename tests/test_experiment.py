@@ -177,20 +177,30 @@ class TestRunExperiment:
         assert len(lines) == 1 + len(res.rows())
 
     def test_ideal_plan_durations_are_built_cycles(self):
-        # ideal pulses take no time, so a cycle lasts only its delays
+        # an ideal pulse keeps its slot, so a cycle lasts as long as a square one
         plan = tiny_plan(methods=("IDLE", "SIM-XY4-2", "CR-XY4"), shape=PulseShape.ideal())
         res = run_experiment(plan)
         assert not res.failures
         walls = set()
         for label in ("SIM-XY4-2", "CR-XY4"):
             cycle = built_cycle(parse_method(label), plan.device.tau_p, plan.shape)
-            assert cycle.duration == pytest.approx(4 * plan.device.tau_p)
+            assert cycle.duration == pytest.approx(8 * plan.device.tau_p)
             for rec in (r for r in res.records if r.method == label):
                 for pt in rec.points:
                     assert pt.duration_s == pt.pulses_applied // cycle.pulse_count * cycle.duration
                     walls.add(pt.duration_s)
         idle = {pt.duration_s for r in res.records if r.method == "IDLE" for pt in r.points}
         assert idle == walls
+
+    @pytest.mark.parametrize("name", ["XY4", "EDD", "KDD", "UR10", "UR12", "RGA64c"])
+    def test_ideal_cycles_keep_the_square_timing(self, name):
+        # an ideal pulse keeps the slot a finite pulse takes
+        for label in (f"SIM-{name}-1", f"SIM-{name}-2", f"CR-{name}", f"CR-{name}-3S",
+                      f"CR-{name}-2A", f"CR-({name},XY4)"):
+            ideal, square = (parse_method(label).build(5.69e-8, shape, coloring=("R", "B"))(2)
+                             for shape in (PulseShape.ideal(), PulseShape.square()))
+            for a, b in zip(ideal, square):
+                assert (a.duration, a.pulse_count) == (b.duration, b.pulse_count)
 
     def test_failed_cells_are_logged_and_run_continues(self, monkeypatch):
         import crdd.experiment as exp

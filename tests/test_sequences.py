@@ -15,6 +15,7 @@ from crdd.sequences import (
 PI = math.pi
 SQUARE = PulseShape.square()
 DRAG = PulseShape.gaussian_drag()
+IDEAL = PulseShape.ideal()
 
 
 def su2_pulse(phase):
@@ -233,6 +234,23 @@ class TestPad:
                 base = cr_dd(red, blue, tau_p=3.7e-8, shape=shape)
                 assert pad(base, (k - 1) * 3.7e-8, mode) == direct
 
+    @pytest.mark.parametrize("tau_d", [0.0, 1.0])
+    def test_refuses_a_layout_it_would_rewrite(self, tau_d):
+        # pulses narrower than their stagger slots, pi/2 pulses and an already
+        # padded schedule would come back as another schedule
+        base = cr_dd("XY4", tau_p=1.0, shape=SQUARE)
+
+        def rebuilt(seq, width, angle):
+            return Sequence(tuple(Segment.for_pulse(s.pulse.phase, width, SQUARE, angle)
+                                  if s.kind == "pulse" else s for s in seq.segments))
+
+        for sched in (ColoredSchedule(rebuilt(base.red, 0.5, PI), rebuilt(base.blue, 0.5, PI)),
+                      ColoredSchedule(rebuilt(base.red, 1.0, PI / 2),
+                                      rebuilt(base.blue, 1.0, PI / 2)),
+                      pad(base, 1.0, "asymmetric")):
+            with pytest.raises(ValueError, match="not an unpadded staggered schedule"):
+                pad(sched, tau_d, "symmetric")
+
     @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
     @pytest.mark.parametrize("name", sorted(SEQUENCE_CATALOG))
     def test_ideal_padded_schedules_build(self, name, mode):
@@ -338,6 +356,11 @@ class TestJson:
         again = ColoredSchedule.from_json(sched.to_json())
         assert again == sched
 
+    def test_ideal_slots_roundtrip(self):
+        sched = cr_dd("XY4", "UR12", tau_p=1e-8, shape=IDEAL, k=2)
+        assert ColoredSchedule.from_json(sched.to_json()) == sched
+        assert json.loads(sched.to_json())["red"]["tau_p_s"] == 1e-8
+
     def test_sequence_schema_fields(self):
         seq = build_named("xy4", 5.69e-8, SQUARE)
         doc = json.loads(seq.to_json())
@@ -389,8 +412,11 @@ class TestSegmentValidation:
         assert d.pulse is None
 
     def test_ideal_pulse_zero_duration(self):
-        with pytest.raises(ValueError):
-            Segment.for_pulse(0.0, 1.0, PulseShape.ideal())
+        # an ideal pulse lasts the slot it turns in the middle of, >= 0
+        assert Segment.for_pulse(0.0, 0.0, PulseShape.ideal()).duration == 0.0
+        assert Segment.for_pulse(0.0, 1.0, PulseShape.ideal()).duration == 1.0
+        with pytest.raises(ValueError, match="duration"):
+            Segment.for_pulse(0.0, -1.0, PulseShape.ideal())
 
     def test_bounded_pulse_positive_duration(self):
         with pytest.raises(ValueError):
@@ -508,6 +534,28 @@ class TestCommonCut:
         short, long_ = seq_of(Segment.delay(1.0)), seq_of(Segment.delay(2.0))
         with pytest.raises(ValueError, match="durations differ"):
             _common_cut((short, long_), 16)
+
+    def test_ideal_slot_idles_around_its_midpoint_turn(self):
+        x = Segment.for_pulse(0.0, 2.0, IDEAL)
+        a = seq_of(Segment.delay(1.0), x)
+        edges, pieces, events = _common_cut((a,), 16)
+        assert edges == [0.0, 1.0, 2.0, 3.0]
+        assert events == {2: [(0, x.pulse)]}
+        assert offsets(pieces, 0)[1:] == [(x, 0.0, 1.0), (x, 1.0, 2.0)]
+        assert [parts[0][3] for _, parts in pieces] == [None] * 3
+
+    def test_ideal_turn_within_tolerance_merges_into_a_partner_edge(self):
+        # tolerance 1e-12 * 4.0; a's slot turns 2**-44 ~ 5.7e-14 past b's
+        # edge at 1.0 and merges into it, 2**-37 ~ 7.3e-12 past it does not
+        b = seq_of(Segment.delay(1.0), Segment.delay(3.0))
+        for gap, expected, turn in (
+                (2.0 ** -43, [0.0, 1.0, 2.0 + 2.0 ** -43, 4.0], 1),
+                (2.0 ** -36, [0.0, 1.0, 1.0 + 2.0 ** -37, 2.0 + 2.0 ** -36, 4.0], 2)):
+            a = seq_of(Segment.for_pulse(0.3, 2.0 + gap, IDEAL), Segment.delay(2.0 - gap))
+            edges, pieces, events = _common_cut((a, b), 16)
+            assert edges == expected
+            assert events == {turn: [(0, a.segments[0].pulse)]}
+            assert len(pieces) == len(edges) - 1
 
     def test_ideal_pulses_at_start_interior_edges_and_end(self):
         ideal = PulseShape.ideal()

@@ -83,21 +83,23 @@ class TestEvolveOracles:
 
     def test_sim_ideal_leaves_zz_invariant(self):
         j_tau_c = 0.02
-        tau_c = 4.0  # ideal pulses: four unit delays
+        seq = sim_dd("XY4", 2, 1.0, IDEAL)
+        tau_c = 8.0  # four unit pulse slots and four unit delays
+        assert seq.duration == tau_c
         dev = two_qubit_device(j_tau_c / tau_c)
         psi0 = product_state(("+x", "+x"))
-        psi = evolve(dev, sim_dd("XY4", 2, 1.0, IDEAL), psi0=psi0)
+        psi = evolve(dev, seq, psi0=psi0)
         infidelity = 1 - abs(np.vdot(psi0, psi)) ** 2
         assert infidelity == pytest.approx(math.sin(j_tau_c) ** 2, rel=1e-8)
 
     def test_cr_suppresses_by_100x(self):
+        # both cycles last 8 unit slots, so one device gives both J tau_c
         j_tau_c = 0.02
         psi0 = product_state(("+x", "+x"))
-        dev = two_qubit_device(j_tau_c / 4.0)
+        dev = two_qubit_device(j_tau_c / 8.0)
         psi = evolve(dev, sim_dd("XY4", 2, 1.0, IDEAL), psi0=psi0)
         inf_sim = 1 - abs(np.vdot(psi0, psi)) ** 2
         sched = cr_dd("XY4", tau_p=1.0, shape=SQUARE)
-        dev = two_qubit_device(j_tau_c / 8.0)
         psi = evolve(dev, [sched.red, sched.blue], psi0=psi0, samples_per_pulse=512)
         inf_cr = 1 - abs(np.vdot(psi0, psi)) ** 2
         assert inf_sim / max(inf_cr, 1e-300) >= 100
@@ -114,6 +116,24 @@ class TestEvolveOracles:
         h = dense_hamiltonian(dev, drives)
         expected = expm(-1j * h * 1.0) @ psi0
         assert np.abs(psi - expected).max() < 1e-9
+
+    def test_non_bipartite_device(self):
+        # evolve reads no coloring, so a triangle runs: one SIM-XY4-2 cycle
+        # of square pulses against a product of dense matrix exponentials
+        rng = np.random.default_rng(3)
+        dev = DeviceModel(QubitGraph(3, ((0, 1), (1, 2), (0, 2))), [0.03, 0.02, 0.01],
+                          rng.normal(scale=0.02, size=(3, 3)), 1.0)
+        seq = sim_dd("XY4", 2, 1.0, SQUARE)
+        want = np.eye(8, dtype=complex)
+        for s in seq.segments:
+            rate = 0.0 if s.kind == "delay" else PI / s.duration
+            phase = 0.0 if s.kind == "delay" else s.pulse.phase
+            drives = np.tile([rate * math.cos(phase), rate * math.sin(phase)], (3, 1))
+            want = expm(-1j * dense_hamiltonian(dev, drives) * s.duration) @ want
+        assert np.abs(cycle_propagator(dev, seq) - want).max() <= 1e-10
+        psi0 = product_state(("+x", "-y", "+z"))
+        assert np.abs(evolve(dev, idle_schedule(3.0), psi0=psi0)
+                      - expm(-3j * dense_hamiltonian(dev, np.zeros((3, 2)))) @ psi0).max() <= 1e-10
 
     def test_duration_mismatch(self):
         dev = two_qubit_device(0.0)

@@ -39,7 +39,9 @@ def perfbench(workload, seed, seconds, trace):
 
 
 def tier1():
-    env = dict(os.environ, PYTHONPATH="src")
+    # src first, then the caller's path, as the Tier-1 command sets it
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH="src" + (os.pathsep + path if path else ""))
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            "--continue-on-collection-errors"],

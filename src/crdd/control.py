@@ -56,6 +56,9 @@ __all__ = [
 
 AXES = "XYZ"
 
+# a node whose unitarity defect exceeds this (or is NaN) raises IntegrationError
+_UNITARITY_TOL = 1e-10
+
 
 class GridMismatchError(ValueError):
     """Two traces do not share an identical time grid."""
@@ -154,26 +157,24 @@ def _local(build, part, n, cache):
     return cache[key, n]
 
 
-def _unitary(U, unitarity_tol=1e-10):
-    """``U``, once no node's defect | |U00|^2 + |U10|^2 - 1 | exceeds ``unitarity_tol``."""
+def _unitary(U):
+    """``U``, once no node's defect | |U00|^2 + |U10|^2 - 1 | exceeds ``_UNITARITY_TOL``."""
     col = U[:, :, 0]
     defect = np.abs((col.real ** 2 + col.imag ** 2).sum(axis=1) - 1.0).max()
-    if not defect <= unitarity_tol:  # written so that a NaN node also fails
-        raise IntegrationError(f"unitarity defect {defect:.3e} exceeds {unitarity_tol:.1e}")
+    if not defect <= _UNITARITY_TOL:  # written so that a NaN node also fails
+        raise IntegrationError(f"unitarity defect {defect:.3e} exceeds {_UNITARITY_TOL:.1e}")
     return U
 
 
-def propagate(sequence, samples_per_pulse=256, partners=(), unitarity_tol=1e-10):
+def propagate(sequence, samples_per_pulse=256, partners=()):
     """Control unitaries U_C(t_i) at every grid node: (TimeGrid, U), U of shape
     (n_nodes, 2, 2).  Raises IntegrationError if a node's unitarity defect
-    exceeds ``unitarity_tol`` or is NaN, ValueError for a tolerance that is not
-    finite and > 0.  ``partners`` are the other sequences on the same grid: the
-    cut is taken at every segment edge of the sequence and its partners, and
-    the step from all of them (h = reference / samples_per_pulse).  Traces
-    meant to share a grid must pass each other as partners.  Partners of
-    another duration raise ValueError.
+    exceeds 1e-10 (``_UNITARITY_TOL``) or is NaN.  ``partners`` are the
+    other sequences on the same grid: the cut is taken at every segment edge
+    of the sequence and its partners, and the step from all of them (h =
+    reference / samples_per_pulse).  Traces meant to share a grid must pass
+    each other as partners.  Partners of another duration raise ValueError.
     """
-    _check_tol(unitarity_tol, "unitarity_tol")
     grid, spans, events = _plan_sequence(sequence, samples_per_pulse, partners)
     U = np.empty((len(grid.times), 2, 2), dtype=np.complex128)
     U[0] = np.eye(2)
@@ -194,7 +195,7 @@ def propagate(sequence, samples_per_pulse=256, partners=(), unitarity_tol=1e-10)
         else:  # an instantaneous rotation, or a copy
             k += 1
             U[k] = _kernels.turns(*events[k])[0] @ U[k - 1] if k in events else U[k - 1]
-    return grid, _unitary(U, unitarity_tol)
+    return grid, _unitary(U)
 
 
 def _adjoint_from_unitaries(U):
@@ -395,9 +396,9 @@ class SuppressionReport:
                 fh.write(f"{kind},{a},{b},{repr(float(v))},{str(bool(ok)).lower()}\n")
 
 
-def _check_tol(tol, name="tol"):
+def _check_tol(tol):
     if not (math.isfinite(tol) and tol > 0):  # a NaN tol would fail every check
-        raise ValueError(f"{name} must be finite and > 0; got {tol}")
+        raise ValueError(f"tol must be finite and > 0; got {tol}")
 
 
 def _local_chi(seg, lo, hi, n):

@@ -292,14 +292,14 @@ def run_experiment(plan, out_path=None):
     """Execute every (embedding, state, method, duration) cell through the
     exact simulator.  Per-cell failures are recorded and the run continues.
     Writes the results CSV incrementally when ``out_path`` is given."""
-    device = plan.device.colored()
     specs = [parse_method(m) for m in plan.methods]
     timing = {}
     for s in specs:
         if s.kind == "idle":
             timing[s.label] = (0, 0.0)
         else:
-            cycle = s.build(device.tau_p, plan.shape, coloring=device.graph.coloring)(1)[0]
+            # red and blue cycles share their pulse count and duration
+            cycle = s.build(plan.device.tau_p, plan.shape, coloring=("R",))(1)[0]
             timing[s.label] = (cycle.pulse_count, cycle.duration)
     points = schedule_points(timing, plan.target_pulses, plan.spacing, plan.max_points)
 
@@ -310,7 +310,7 @@ def run_experiment(plan, out_path=None):
             writer = _csv_writer(fh)
             writer.writerow(RESULTS_HEADER)
         for e_idx, emb in enumerate(plan.embeddings):
-            sub = device.subdevice(emb)
+            sub = plan.device.subdevice(emb)
             emb_id = "-".join(str(v) for v in emb)
             states = prepare_states(len(emb), plan.count_type1, plan.count_type2,
                                     plan.states_seed)
@@ -353,7 +353,9 @@ def _run_method_cells(plan, sub, spec, method_points, encs, e_idx, m_idx):
                                   samples_per_pulse=plan.samples_per_pulse)
                  for _, dur, _ in method_points)
     else:
-        schedules = spec.build(sub.tau_p, plan.shape, coloring=sub.graph.coloring)(sub.n)
+        # only CR needs the coloring; on an odd cycle colored() names it
+        coloring = sub.colored().graph.coloring if spec.kind == "cr" else None
+        schedules = spec.build(sub.tau_p, plan.shape, coloring=coloring)(sub.n)
         u_cycle = cycle_propagator(sub, schedules, samples_per_pulse=plan.samples_per_pulse)
         cache = [u_cycle]
         props = (_binary_power(u_cycle, cache, cycles) for cycles, _, _ in method_points)

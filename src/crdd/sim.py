@@ -18,12 +18,12 @@ Pulsed intervals, square or shaped, that differ only in the drive phases of
 their pulses share one propagator, keyed by their pulsing qubits' keys: a
 pulse of phase phi on qubit q is the phase-0 pulse conjugated by
 exp(-i phi Z_q / 2), and that rotation commutes with the Z/ZZ diagonal (the
-virtual-Z identity, McKay et al., PRA 96, 022330 (2017)).  Every interval is
-applied as D P D^dag, D that diagonal rotation and P its phase-0
-propagator: built once on the identity and reused wherever that is cheaper
-than propagating every occurrence, else propagated on the rotated columns.
-Delay-only intervals, and those where a pulsing qubit has a static X/Y
-field, run at their real phases with D = 1.
+virtual-Z identity, McKay et al., PRA 96, 022330 (2017)).  A pulsing
+qubit's static X/Y field is turned by -phi into the same frame and joins
+the key.  Every interval is applied as D P D^dag, D that diagonal rotation
+and P its phase-0 propagator: built once on the identity and reused
+wherever that is cheaper than propagating every occurrence, else propagated
+on the rotated columns.  Delay-only intervals run unkeyed with D = 1.
 
 Statevector dimension is capped at n = 14 qubits (dense representation).
 """
@@ -38,7 +38,8 @@ import numpy as np
 from . import _kernels
 from ._kernels import IntegrationError
 from .sequences import (
-    QubitGraph, Segment, Sequence, _common_cut, _is_integer, envelope_amplitude, two_color,
+    NotBipartiteError, QubitGraph, Segment, Sequence, _common_cut, _is_integer,
+    envelope_amplitude, two_color,
 )
 
 __all__ = [
@@ -119,14 +120,19 @@ class DeviceModel:
         return self
 
     def subdevice(self, vertices):
-        """Induced sub-device on the given vertices (relabeled 0..k-1)."""
+        """Induced sub-device on the given vertices (relabeled 0..k-1), two-
+        coloured when its graph is bipartite, else left uncoloured."""
         idx = {v: i for i, v in enumerate(vertices)}
         edges, zz = [], []
         for (u, v), j in zip(self.graph.edges, self.zz):
             if u in idx and v in idx:
                 edges.append((idx[u], idx[v]))
                 zz.append(j)
-        graph = two_color(QubitGraph(len(vertices), tuple(edges)))
+        graph = QubitGraph(len(vertices), tuple(edges))
+        try:
+            graph = two_color(graph)
+        except NotBipartiteError:
+            pass  # colored() names the odd cycle to whatever needs a coloring
         return DeviceModel(graph, np.array(zz), self.b[list(vertices)], self.tau_p)
 
     def to_dict(self):
@@ -288,6 +294,9 @@ def _normalize_schedules(device, schedules):
 # simultaneously.
 _STEP_ANGLE_CAP = 6e-3
 
+# a column norm drifting further than this over a call raises IntegrationError
+_NORM_TOL = 1e-9
+
 
 def _compile_cycle(device, schedules, samples_per_pulse, diag):
     """One cycle as time-ordered spans ``(kind, key, phis, ...)``:
@@ -299,25 +308,28 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
     * ``("rk4", key, phis, h, ax, ay)``: a shaped envelope, in RK4 steps
       ``h`` with rates (nsteps, 3, n) at each step's start, midpoint and end.
 
-    An interval in which some qubit pulses and no pulsing qubit carries a
-    static X/Y field, square or shaped, is keyed by ``(q, key)`` of each
-    pulsing qubit, ``key`` its part's phase-0 key in ``_common_cut``.  Its
-    rates are the phase-0 pulses', sampled once per key, and ``phis`` (n,)
-    holds each pulsing qubit's drive phase (0 elsewhere): its propagator is
-    the key's conjugated by ``exp(-i/2 sum_q phis_q Z_q)``, which commutes
-    with the Z/ZZ diagonal.  Otherwise ``key`` is None, ``phis`` is 0 and
-    the rates carry the real phases.
+    An interval in which some qubit pulses, square or shaped, is keyed by
+    ``(q, key, fx + i fy)`` of each pulsing qubit, ``key`` its part's
+    phase-0 key in ``_common_cut`` and ``(fx, fy)`` its static X/Y field
+    turned by its drive phase phi into the pulse frame,
+    ``(bx cos phi + by sin phi, by cos phi - bx sin phi)``.  Its rates are
+    the phase-0 pulses' plus the turned fields, sampled once per key, and
+    ``phis`` (n,) holds each pulsing qubit's drive phase (0 elsewhere): its
+    propagator is the key's conjugated by ``exp(-i/2 sum_q phis_q Z_q)``,
+    exact because that rotation is constant over the interval and commutes
+    with the Z/ZZ diagonal.  A delay-only interval is keyed None with
+    ``phis`` 0.
     """
     n = device.n
     _check_capacity(n)
     edges, pieces, events = _common_cut(schedules, samples_per_pulse)
     diag_bound = float(np.abs(diag).max())
-    transverse = np.any(device.b[:, :2] != 0.0, axis=1)
+    b = device.b[:, 0] + 1j * device.b[:, 1]
 
-    def drive(parts, offsets, phased=True):
+    def drive(parts, offsets, field):
         """Rates ``ax, ay`` of shape ``offsets.shape + (n,)`` at ``offsets``
-        from the start of the interval; with ``phased`` False every pulse is
-        driven at phase 0."""
+        from the start of the interval: every pulse at phase 0 plus the
+        static X/Y field ``field`` (n,), as ``fx + i fy``."""
         ax = np.zeros(offsets.shape + (n,))
         ay = np.zeros(offsets.shape + (n,))
         for q, (s, lo, _, key) in enumerate(parts):
@@ -326,28 +338,22 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
                 local = np.clip(lo + offsets, 0.0, s.duration)
                 wi, wq = envelope_amplitude(p.shape, p.flip_angle, s.duration,
                                             local.ravel())
-                wi = wi.reshape(offsets.shape)
-                wq = wq.reshape(offsets.shape)
-                phase = p.phase if phased else 0.0
-                cph, sph = math.cos(phase), math.sin(phase)
-                ax[..., q] = 0.5 * (wi * cph - wq * sph)
-                ay[..., q] = 0.5 * (wi * sph + wq * cph)
-            ax[..., q] += device.b[q, 0]
-            ay[..., q] += device.b[q, 1]
-        return ax, ay
+                ax[..., q] = 0.5 * wi.reshape(offsets.shape)
+                ay[..., q] = 0.5 * wq.reshape(offsets.shape)
+        return ax + field.real, ay + field.imag
 
-    def tables(parts, t, nst, phased):
+    def tables(parts, t, nst, field):
         """``("exact", t, ax, ay)`` when every qubit sits in a delay or a
         square pulse, else ``("rk4", h, ax, ay)`` in at least ``nst`` RK4
         steps."""
         if all(key is None or s.pulse.shape.kind == "square" for s, _, _, key in parts):
-            return ("exact", t, *drive(parts, np.array(0.0), phased))
+            return ("exact", t, *drive(parts, np.array(0.0), field))
 
         def sample(nst):
             hs = t / nst
             offs = np.arange(nst) * hs
             return hs, *drive(parts, np.stack([offs, offs + hs / 2, offs + hs], axis=1),
-                              phased)
+                              field)
 
         hs, ax, ay = sample(nst)
         # transverse amplitudes sum across qubits in the worst eigenvalue
@@ -367,12 +373,12 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
             break
         nst, parts = pieces[i]
         pulsing = [q for q, part in enumerate(parts) if part[3] is not None]
-        phis, key = np.zeros(n), None
-        if pulsing and not transverse[pulsing].any():
-            key = tuple((q, parts[q][3]) for q in pulsing)
-            phis[pulsing] = [parts[q][0].pulse.phase for q in pulsing]
+        phis = np.zeros(n)
+        phis[pulsing] = [parts[q][0].pulse.phase for q in pulsing]
+        field = b * np.exp(-1j * phis)  # each pulsing qubit's field in its pulse frame
+        key = tuple((q, parts[q][3], field[q]) for q in pulsing) or None
         entry = (keyed[key] if key in keyed
-                 else tables(parts, edges[i + 1] - lo, nst, phased=key is None))
+                 else tables(parts, edges[i + 1] - lo, nst, field))
         if key is not None:
             keyed[key] = entry
         spans_out.append((entry[0], key, phis, *entry[1:]))
@@ -407,8 +413,7 @@ def _run_cycle(spans, psi, diag, zsign, shared):
     return psi
 
 
-def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
-           norm_tol=1e-9):
+def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256):
     """Propagate a statevector (or propagator columns) through ``repetitions``
     cycles of the per-qubit schedules.
 
@@ -427,13 +432,11 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
     ``psi0``), and then holds one dim x dim array for the whole call; a
     statevector builds one only for a key it would otherwise propagate at
     least ``dim`` times.
-    Raises IntegrationError when a column norm drifts beyond ``norm_tol`` or
-    turns NaN, and ValueError for a ``norm_tol`` that is not finite and > 0,
-    for ``repetitions`` that is not an integer >= 0, for ``samples_per_pulse``
-    that is not an integer >= 16 and for a ``psi0`` whose first axis is not
-    2**n, or that has no column or an all-zero one."""
-    if not (math.isfinite(norm_tol) and norm_tol > 0):
-        raise ValueError(f"norm_tol must be finite and > 0; got {norm_tol}")
+    Raises IntegrationError when a column norm drifts beyond 1e-9
+    (``_NORM_TOL``) or turns NaN, and ValueError for ``repetitions`` that is
+    not an integer >= 0, for ``samples_per_pulse`` that is not an integer
+    >= 16 and for a ``psi0`` whose first axis is not 2**n, or that has no
+    column or an all-zero one."""
     if not _is_integer(repetitions) or repetitions < 0:
         raise ValueError(f"repetitions must be an integer >= 0, got {repetitions!r}")
     schedules = _normalize_schedules(device, schedules)
@@ -458,12 +461,12 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256,
         psi = _run_cycle(spans, psi, diag, zsign, shared)
     norms_out = np.linalg.norm(psi.reshape(dim, -1), axis=0)
     drift = np.abs(norms_out / norms_in - 1.0).max()
-    if not drift <= norm_tol:  # written so that a NaN state also fails
-        raise IntegrationError(f"norm drift {drift:.3e} exceeds {norm_tol:.1e}")
+    if not drift <= _NORM_TOL:  # written so that a NaN state also fails
+        raise IntegrationError(f"norm drift {drift:.3e} exceeds {_NORM_TOL:.1e}")
     return psi
 
 
-def cycle_propagator(device, schedules, samples_per_pulse=256, norm_tol=1e-9):
+def cycle_propagator(device, schedules, samples_per_pulse=256):
     """One-cycle propagator matrix U(tau_c): the columns of the identity
     evolved together by ``evolve``, exactly wherever H is piecewise constant.
     With ``dim`` columns every keyed interval, square or shaped, meets the
@@ -472,7 +475,7 @@ def cycle_propagator(device, schedules, samples_per_pulse=256, norm_tol=1e-9):
     dim = 1 << device.n
     eye = np.eye(dim, dtype=complex)
     return evolve(device, schedules, repetitions=1, psi0=eye,
-                  samples_per_pulse=samples_per_pulse, norm_tol=norm_tol)
+                  samples_per_pulse=samples_per_pulse)
 
 
 def idle_schedule(duration):

@@ -17,10 +17,16 @@ def bench():
 
 
 def fake_pytest(monkeypatch, bench, returncode, stdout):
+    """Replace ``subprocess.run`` with one that returns the given result;
+    returns the list of keyword arguments of each call."""
+    calls = []
+
     def run(argv, **kw):
+        calls.append(kw)
         return types.SimpleNamespace(returncode=returncode, stdout=stdout)
 
     monkeypatch.setattr(bench, "subprocess", types.SimpleNamespace(run=run))
+    return calls
 
 
 @pytest.mark.parametrize("returncode, stdout, passed, failed", [
@@ -44,3 +50,16 @@ def test_tier1_refuses_a_run_it_cannot_read(monkeypatch, bench, returncode, stdo
     fake_pytest(monkeypatch, bench, returncode, stdout)
     with pytest.raises(RuntimeError, match=f"pytest exited {returncode}"):
         bench.tier1()
+
+
+@pytest.mark.parametrize("caller, want", [
+    (None, "src"), ("", "src"), ("lib/extra", "src" + os.pathsep + "lib/extra"),
+], ids=["unset", "empty", "set"])
+def test_tier1_keeps_the_callers_path_after_src(monkeypatch, bench, caller, want):
+    if caller is None:
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONPATH", caller)
+    calls = fake_pytest(monkeypatch, bench, 0, "1 passed in 0.01s\n")
+    bench.tier1()
+    assert [kw["env"]["PYTHONPATH"] for kw in calls] == [want]

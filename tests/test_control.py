@@ -611,11 +611,6 @@ class TestSegmentPropagation:
         # the 64 pulses are one key, stepped n = 64 times: two Gauss nodes a step
         assert sizes == [64, 64]
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
-    def test_unusable_unitarity_tol(self, tol):
-        with pytest.raises(ValueError, match="unitarity_tol"):
-            propagate(Sequence((Segment.for_pulse(0.0, 1.0, SQUARE),)), 32, unitarity_tol=tol)
-
     @pytest.mark.parametrize("samples", [16.5, 64.0, True])
     def test_samples_per_pulse_must_be_an_integer_from_16(self, samples):
         sched = cr_dd("XY4", tau_p=1.0, shape=DRAG)

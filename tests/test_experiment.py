@@ -8,7 +8,7 @@ from crdd.experiment import (
     mean_by_duration, parse_method, read_fits_csv, read_results_csv,
     run_experiment, schedule_points, summarize, write_fits_csv, write_results_csv,
 )
-from crdd.sequences import PulseShape
+from crdd.sequences import PulseShape, QubitGraph
 from crdd.sim import (
     DeviceModel, SurvivalPoint, SurvivalRecord, cycle_propagator, decode_probabilities,
     idle_schedule, prepare_states, product_state, shot_rng,
@@ -221,6 +221,25 @@ class TestRunExperiment:
         assert {r[0] for r in res.rows()} == {"CR-XY4"}
         # completeness: cells = embeddings x states x surviving methods x durations
         assert len(res.rows()) == 1 * 2 * 1 * 3
+
+    def triangle_plan(self, embeddings, methods):
+        base = DeviceModel.default(n=3, seed=5)
+        device = DeviceModel(QubitGraph(3, ((0, 1), (1, 2), (0, 2))), np.full(3, base.zz[0]),
+                             base.b, base.tau_p)
+        return tiny_plan(device=device, embeddings=embeddings, methods=methods)
+
+    def test_non_bipartite_embedding_runs_the_methods_without_coloring(self):
+        res = run_experiment(self.triangle_plan(((0, 1, 2),), ("IDLE", "SIM-XY4-2", "CR-XY4")))
+        assert {r[0] for r in res.rows()} == {"IDLE", "SIM-XY4-2"}
+        # only the CR method needs the coloring; its failure names the odd cycle
+        [(emb_id, label, message)] = res.failures
+        assert (emb_id, label) == ("0-1-2", "CR-XY4")
+        assert "odd cycle [1, 0, 2]" in message
+
+    def test_bipartite_embedding_of_a_non_bipartite_device(self):
+        res = run_experiment(self.triangle_plan(((0, 1),), ("IDLE", "SIM-XY4-2", "CR-XY4")))
+        assert not res.failures
+        assert {r[0] for r in res.rows()} == {"IDLE", "SIM-XY4-2", "CR-XY4"}
 
 
 def per_cell_readout(plan, result):

@@ -43,7 +43,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import IntegrationError
 from .sequences import (
-    ColoredSchedule, Sequence, _common_cut, envelope_amplitude,
+    ColoredSchedule, Sequence, _common_cut, _write_csv, envelope_amplitude,
 )
 
 __all__ = [
@@ -239,11 +239,8 @@ class ControlTrace:
         return tu, Ru
 
     def to_csv(self, path):
-        cols = ["t_s"] + [f"R_{AXES[m]}{AXES[a]}" for m in range(3) for a in range(3)]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for t, r in zip(self.grid.times, self.R.reshape(-1, 9)):
-                fh.write(",".join(repr(float(x)) for x in (t, *r)) + "\n")
+        _write_csv(path, ["t_s"] + [f"R_{m}{a}" for m in AXES for a in AXES],
+                   np.column_stack((self.grid.times, self.R.reshape(-1, 9))).tolist())
 
 
 def control_trace(sequence, samples_per_pulse=256, partners=()):
@@ -390,10 +387,8 @@ class SuppressionReport:
         return [r for r in self.rows if r[0] == "two_local" and not r[4]]
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("kind,alpha,beta,value_s,pass\n")
-            for kind, a, b, v, ok in self.rows:
-                fh.write(f"{kind},{a},{b},{repr(float(v))},{str(bool(ok)).lower()}\n")
+        _write_csv(path, ("kind", "alpha", "beta", "value_s", "pass"),
+                   ((kind, a, b, v, str(bool(ok)).lower()) for kind, a, b, v, ok in self.rows))
 
 
 def _check_tol(tol):
@@ -490,12 +485,10 @@ class SymmetryReport:
             for m in range(3) for a in range(3)}
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("mu,alpha,relation,residual,flag\n")
-            for (m, a), comp in self.components.items():
-                for rel in RELATIONS:
-                    r = comp.residuals[rel]
-                    fh.write(f"{m},{a},{rel},{repr(float(r))},{str(comp.flag(rel)).lower()}\n")
+        _write_csv(path, ("mu", "alpha", "relation", "residual", "flag"),
+                   ((m, a, rel, r, str(bool(comp.flag(rel))).lower())
+                    for (m, a), comp in self.components.items()
+                    for rel, r in comp.residuals.items()))
 
 
 def classify_symmetry(trace, mu, alpha, tol=1e-6):

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fitting import fit_decay
-from .sequences import PulseShape, _is_integer, canonical_name, cr_dd, sim_dd
+from .sequences import (PulseShape, _csv_writer, _is_integer, _write_csv, canonical_name,
+                        cr_dd, sim_dd)
 from .sim import (POLES, DeviceModel, SurvivalPoint, SurvivalRecord, idle_schedule,
                   cycle_propagator, prepare_states, product_state, sample_survival,
                   shot_rng, survival_probability)
@@ -150,6 +151,10 @@ def schedule_points(methods, target_pulses, spacing="linear", max_points=16):
 # Plans
 # ---------------------------------------------------------------------------
 
+# (key, field) of each entry of a plan JSON's "states" object
+_STATES_KEYS = (("type1", "count_type1"), ("type2", "count_type2"), ("seed", "states_seed"))
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     device: DeviceModel
@@ -177,17 +182,25 @@ class ExperimentPlan:
         object.__setattr__(self, "embeddings",
                            tuple(tuple(int(v) for v in e) for e in embeddings))
         object.__setattr__(self, "methods", tuple(self.methods))
-        for name, low, high in (("shots", 1, None), ("samples_per_pulse", 16, None),
+        for name, low, high in (("seed", None, None), ("states_seed", 0, None),
+                                ("shots", 1, None), ("samples_per_pulse", 16, None),
                                 ("target_pulses", 1, None), ("max_points", 1, None),
                                 ("count_type1", 0, len(POLES)), ("count_type2", 0, None)):
             value = getattr(self, name)
-            if not _is_integer(value) or value < low or (high is not None and value > high):
-                bound = f">= {low}" + (f" and <= {high}" if high is not None else "")
-                raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+            if (not _is_integer(value) or (low is not None and value < low)
+                    or (high is not None and value > high)):
+                bound = "".join(f" {op} {b}" for op, b in ((">=", low), ("and <=", high))
+                                if b is not None)
+                raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
         if self.spacing not in _SPACINGS:
             raise ValueError(f"spacing must be one of {_SPACINGS}, got {self.spacing!r}")
-        for m in self.methods:
-            parse_method(m)
+        # a repeat would write its cells twice, with other shot draws, and the
+        # fits would pool them; methods compare as their rows are labelled
+        for what, items in (("method", [parse_method(m).label for m in self.methods]),
+                            ("embedding", self.embeddings)):
+            for item in items:
+                if items.count(item) > 1:
+                    raise ValueError(f"{what} {item} appears more than once")
         for emb in self.embeddings:
             if len(set(emb)) != len(emb):
                 raise ValueError(f"embedding {emb} repeats vertices")
@@ -204,30 +217,23 @@ class ExperimentPlan:
             "seed": self.seed,
             "spacing": self.spacing,
             "max_points": self.max_points,
-            "states": {"type1": self.count_type1, "type2": self.count_type2,
-                       "seed": self.states_seed},
+            "states": {key: getattr(self, name) for key, name in _STATES_KEYS},
             "samples_per_pulse": self.samples_per_pulse,
             "shape": self.shape.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d):
+        """Plan of a plan JSON; each optional key it omits takes its field's default."""
+        optional = {key: d[key] for key in ("spacing", "max_points", "samples_per_pulse")
+                    if key in d}
         states = d.get("states", {})
-        return cls(
-            device=DeviceModel.from_dict(d["device"]),
-            embeddings=tuple(tuple(e) for e in d["embeddings"]),
-            methods=tuple(d["methods"]),
-            target_pulses=d["target_pulses"],
-            shots=d["shots"],
-            seed=d["seed"],
-            spacing=d.get("spacing", "linear"),
-            max_points=d.get("max_points", 16),
-            count_type1=states.get("type1", 6),
-            count_type2=states.get("type2", 14),
-            states_seed=states.get("seed", 0),
-            samples_per_pulse=d.get("samples_per_pulse", 256),
-            shape=PulseShape.from_dict(d.get("shape", {"kind": "square"})),
-        )
+        optional.update((name, states[key]) for key, name in _STATES_KEYS if key in states)
+        if "shape" in d:
+            optional["shape"] = PulseShape.from_dict(d["shape"])
+        return cls(device=DeviceModel.from_dict(d["device"]), embeddings=d["embeddings"],
+                   methods=d["methods"], target_pulses=d["target_pulses"], shots=d["shots"],
+                   seed=d["seed"], **optional)
 
 
 def default_plan(seed=20250810, shots=1000, cycles_exp=13):
@@ -272,20 +278,12 @@ class ExperimentResult:
     failures: list
 
     def rows(self):
-        out = []
-        for rec in self.records:
-            for pt in rec.points:
-                out.append((rec.method, rec.embedding_id, rec.state_id,
-                            pt.duration_s, pt.pulses_applied, pt.shots,
-                            pt.zero_count, pt.p0_estimate))
-        out.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-        return out
+        """Results-CSV rows of every record, sorted by (method, embedding, state, duration)."""
+        return sorted(_record_rows(self.records), key=lambda r: r[:4])
 
     def row_dicts(self):
         """Rows in the results-CSV schema, ready for ``fit_dataset``."""
-        return [dict(method=m, embedding_id=e, state_id=s, duration_s=d,
-                     pulses=p, shots=sh, zeros=z, p0=p0)
-                for (m, e, s, d, p, sh, z, p0) in self.rows()]
+        return [dict(zip(RESULTS_HEADER, row)) for row in self.rows()]
 
 
 def run_experiment(plan, out_path=None):
@@ -307,8 +305,7 @@ def run_experiment(plan, out_path=None):
     fh = open(out_path, "w", newline="") if out_path else None
     try:
         if fh:
-            writer = _csv_writer(fh)
-            writer.writerow(RESULTS_HEADER)
+            writer = _csv_writer(fh, RESULTS_HEADER)
         for e_idx, emb in enumerate(plan.embeddings):
             sub = plan.device.subdevice(emb)
             emb_id = "-".join(str(v) for v in emb)
@@ -322,18 +319,13 @@ def run_experiment(plan, out_path=None):
                 except Exception as exc:  # noqa: BLE001 - skip-and-log policy
                     failures.append((emb_id, spec.label, repr(exc)))
                     continue
-                for s_idx, state in enumerate(states):
-                    rec = SurvivalRecord(spec.label, emb_id, state.label, cells[s_idx])
-                    records.append(rec)
+                new = [SurvivalRecord(spec.label, emb_id, state.label, cell)
+                       for state, cell in zip(states, cells)]
+                records += new
                 if fh:
                     # append completed cells as they land; the finished file is
                     # rewritten in canonical order below
-                    for pt_list, state in zip(cells, states):
-                        for pt in pt_list:
-                            writer.writerow(_format_row((spec.label, emb_id, state.label,
-                                                         pt.duration_s, pt.pulses_applied,
-                                                         pt.shots, pt.zero_count,
-                                                         pt.p0_estimate)))
+                    writer.writerows(_format_row(row) for row in _record_rows(new))
                     fh.flush()
     finally:
         if fh:
@@ -373,28 +365,37 @@ def _run_method_cells(plan, sub, spec, method_points, encs, e_idx, m_idx):
 # CSV interchange
 # ---------------------------------------------------------------------------
 
-RESULTS_HEADER = ("method", "embedding_id", "state_id", "duration_s", "pulses", "shots",
-                  "zeros", "p0")
-FITS_HEADER = ("method", "embedding_id", "A", "gamma_per_s", "c", "tau_gamma_s", "rss", "flag")
+# (column, type) of the results CSV, in file order
+_RESULTS_COLUMNS = (("method", str), ("embedding_id", str), ("state_id", str),
+                    ("duration_s", float), ("pulses", int), ("shots", int), ("zeros", int),
+                    ("p0", float))
+RESULTS_HEADER = tuple(column for column, _ in _RESULTS_COLUMNS)
+# (column, FitRow field, type) of the fits CSV, in file order
+_FITS_COLUMNS = (("method", "method", str), ("embedding_id", "embedding_id", str),
+                 ("A", "A", float), ("gamma_per_s", "gamma", float), ("c", "c", float),
+                 ("tau_gamma_s", "tau_gamma", float), ("rss", "rss", float),
+                 ("flag", "flag", str))
+FITS_HEADER = tuple(column for column, _, _ in _FITS_COLUMNS)
 SUMMARY_HEADER = ("n", "method", "sim_median_tau_s", "sim_iqr_s", "cr_median_tau_s",
                   "cr_iqr_s", "sim_over_idle", "cr_over_sim")
 
 
-def _csv_writer(fh):
-    # minimal quoting: only fields holding a comma (e.g. "CR-(XY4,UR12)") are quoted
-    return csv.writer(fh, lineterminator="\n")
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _read_csv(path):
+def _read_csv(path, columns):
+    """Rows as dicts of the ``(column, type)`` pairs, each column found by its
+    header name and cast by its type; blank lines are skipped."""
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            return []
+        cells = [(column, header.index(column), cast) for column, cast in columns]
+        return [{column: cast(row[i]) for column, i, cast in cells} for row in reader if row]
+
+
+def _record_rows(records):
+    """Results-CSV rows of survival records, in record and point order."""
+    return [(rec.method, rec.embedding_id, rec.state_id, pt.duration_s, pt.pulses_applied,
+             pt.shots, pt.zero_count, pt.p0_estimate) for rec in records for pt in rec.points]
 
 
 def _format_row(row):
@@ -409,11 +410,7 @@ def write_results_csv(result, path):
 def read_results_csv(path):
     """Rows as dicts (method, embedding_id, state_id, duration_s, pulses,
     shots, zeros, p0)."""
-    return [{"method": d["method"], "embedding_id": d["embedding_id"],
-             "state_id": d["state_id"], "duration_s": float(d["duration_s"]),
-             "pulses": int(d["pulses"]), "shots": int(d["shots"]),
-             "zeros": int(d["zeros"]), "p0": float(d["p0"])}
-            for d in _read_csv(path)]
+    return _read_csv(path, _RESULTS_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -451,14 +448,13 @@ def fit_dataset(rows):
 
 
 def write_fits_csv(fits, path):
-    _write_csv(path, FITS_HEADER, ((f.method, f.embedding_id, f.A, f.gamma, f.c,
-                                    f.tau_gamma, f.rss, f.flag) for f in fits))
+    _write_csv(path, FITS_HEADER,
+               ([getattr(f, name) for _, name, _ in _FITS_COLUMNS] for f in fits))
 
 
 def read_fits_csv(path):
-    return [FitRow(d["method"], d["embedding_id"], float(d["A"]), float(d["gamma_per_s"]),
-                   float(d["c"]), float(d["tau_gamma_s"]), float(d["rss"]), d["flag"])
-            for d in _read_csv(path)]
+    rows = _read_csv(path, [(column, cast) for column, _, cast in _FITS_COLUMNS])
+    return [FitRow(**{name: d[column] for column, name, _ in _FITS_COLUMNS}) for d in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +466,7 @@ class SummaryTable:
     rows: tuple  # (n, base, sim_median, sim_iqr, cr_median, cr_iqr, sim/idle, cr/sim)
 
     def to_csv(self, path):
-        # None -> empty cell; floats (numpy ones too) are written as repr(float)
-        _write_csv(path, SUMMARY_HEADER,
-                   ([v if v is None or isinstance(v, (str, int)) else float(v) for v in row]
-                    for row in self.rows))
+        _write_csv(path, SUMMARY_HEADER, self.rows)  # None is an empty cell
 
     def ratio(self, base, column):
         if column not in ("sim_over_idle", "cr_over_sim"):

@@ -18,6 +18,7 @@ timeline: cut times, step counts, offsets into segments and phase-0 keys.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -158,8 +159,19 @@ class Segment:
         return cls("pulse", spec.duration, spec)
 
 
+class _JSONForm:
+    """JSON text of a class's ``to_dict``/``from_dict`` form."""
+
+    def to_json(self, **kw):
+        return json.dumps(self.to_dict(), **kw)
+
+    @classmethod
+    def from_json(cls, text):
+        return cls.from_dict(json.loads(text))
+
+
 @dataclass(frozen=True)
-class Sequence:
+class Sequence(_JSONForm):
     """Ordered pulse/delay segments for one qubit over one cycle."""
 
     segments: tuple
@@ -234,16 +246,9 @@ class Sequence:
                 segs.append(Segment.delay(slot["duration_s"]))
         return cls(tuple(segs), name=d.get("name", ""))
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
-class ColoredSchedule:
+class ColoredSchedule(_JSONForm):
     """Equal-duration sequence pair assigned to the red/blue color classes."""
 
     red: Sequence
@@ -272,17 +277,24 @@ class ColoredSchedule:
     def from_dict(cls, d):
         return cls(Sequence.from_dict(d["red"]), Sequence.from_dict(d["blue"]))
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
 
 def _is_integer(x):
     """An integer that is not a bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _csv_writer(fh, header):
+    """Writer of the one CSV dialect of every file crdd writes, its header row
+    written: minimal quoting (only a field holding a comma, e.g.
+    "CR-(XY4,UR12)", is quoted), "\n" line ends, floats in round-trip form."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    return writer
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        _csv_writer(fh, header).writerows(rows)
 
 
 def _common_cut(sequences, samples_per_pulse):
@@ -623,13 +635,11 @@ def cr_variant(phases_r, phases_b, tau_p, shape, name=""):
     return _stagger(phases_r, phases_b, tau_p, 0.0, "symmetric", shape, name or "CR")
 
 
-def cr_dd(name_r, name_b=None, tau_p=None, shape=None, k=1, mode="symmetric"):
+def cr_dd(name_r, name_b=None, *, tau_p, shape, k=1, mode="symmetric"):
     """CR-<name> (or CR-(A,B)); shorter catalog sequence repeated to match.
 
     k > 1 pads with tau_d = (k-1) tau_p in the given mode.
     """
-    if tau_p is None or shape is None:
-        raise ValueError("tau_p and shape are required")
     if not _is_integer(k) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     suffix = _pad_suffix(mode)
@@ -672,7 +682,7 @@ def pad(schedule, tau_d, mode):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class QubitGraph:
+class QubitGraph(_JSONForm):
     """Interaction graph: integer vertices 0..n-1, undirected edges, optional
     R/B coloring."""
 
@@ -686,13 +696,16 @@ class QubitGraph:
                 raise ValueError(f"graph size and vertices must be integers, got {x!r}")
         if self.n < 1:
             raise ValueError("graph must have at least one vertex")
-        norm = []
+        norm = {}  # insertion-ordered, with O(1) membership
         for (u, v) in self.edges:
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            norm.append((min(u, v), max(u, v)))
+            edge = (min(u, v), max(u, v))
+            if edge in norm:
+                raise ValueError(f"edge ({edge[0]},{edge[1]}) appears more than once")
+            norm[edge] = None
         object.__setattr__(self, "edges", tuple(norm))
         if self.coloring is not None:
             col = tuple(self.coloring)
@@ -726,13 +739,6 @@ class QubitGraph:
     def from_dict(cls, d):
         return cls(d["n"], tuple(tuple(e) for e in d["edges"]),
                    tuple(d["coloring"]) if "coloring" in d else None)
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 def two_color(graph):

@@ -267,6 +267,35 @@ class TestSimFitSummarizeReport:
         assert f"{name} must be an integer >=" in capsys.readouterr().err
         assert not results.exists()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("states.seed", 1.5, "states_seed must be an integer >= 0, got 1.5"),
+        ("states.seed", -1, "states_seed must be an integer >= 0, got -1")])
+    def test_plan_seed_not_an_integer_exits_2(self, tmp_path, capsys, field, value, message):
+        # --seed replaces the plan's seed, but the plan must still be valid
+        plan = tiny_plan_json(tmp_path)
+        doc = json.loads(plan.read_text())
+        section, _, key = field.rpartition(".")
+        (doc[section] if section else doc)[key] = value
+        plan.write_text(json.dumps(doc))
+        results = tmp_path / "r.csv"
+        assert run("sim", "run", "--plan", str(plan), "--seed", "1",
+                   "--out", str(results)) == 2
+        assert message in capsys.readouterr().err
+        assert not results.exists()
+
+    def test_repeated_device_edge_exits_2(self, tmp_path, capsys):
+        plan = tiny_plan_json(tmp_path)
+        doc = json.loads(plan.read_text())
+        doc["device"]["graph"]["edges"] = [[0, 1], [1, 0]]
+        doc["device"]["zz_rad_per_s"] = [1.0, 2.0]
+        plan.write_text(json.dumps(doc))
+        results = tmp_path / "r.csv"
+        assert run("sim", "run", "--plan", str(plan), "--seed", "1",
+                   "--out", str(results)) == 2
+        assert "edge (0,1) appears more than once" in capsys.readouterr().err
+        assert not results.exists()
+
     def test_fit_constant_data_degenerate(self, tmp_path, capsys):
         results = tmp_path / "results.csv"
         lines = ["method,embedding_id,state_id,duration_s,pulses,shots,zeros,p0"]

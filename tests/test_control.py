@@ -6,7 +6,7 @@ import pytest
 
 from crdd import _kernels
 from crdd.control import (
-    RELATIONS, ControlTrace, GridMismatchError, IntegrationError, TimeGrid,
+    RELATIONS, ControlTrace, GridMismatchError, IntegrationError, SymmetryReport, TimeGrid,
     _adjoint_from_unitaries, bang_bang_trace, chi1, chi2, classify_all,
     classify_symmetry, control_trace, paired_traces, propagate, verify_first_order,
 )
@@ -672,6 +672,33 @@ class TestCompactReports:
         want = "kind,alpha,beta,value_s,pass\n" + "".join(
             f"{k},{a},{b},{v!r},{str(ok).lower()}\n" for k, a, b, v, ok in rows)
         assert (tmp_path / "chi.csv").read_text() == want
+
+    def test_trace_csv_text(self, tmp_path):
+        # a node time, then R row by row; floats round-trip, -0.0 included
+        R = np.stack([np.eye(3), np.diag([-0.0, 1 / 3, 1e-17]), -np.eye(3)])
+        trace = ControlTrace(TimeGrid(np.array([0.0, 0.5, 1.5e-8]), ((0, 2),), 1.5e-8), R)
+        trace.to_csv(tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_text() == (
+            "t_s,R_XX,R_XY,R_XZ,R_YX,R_YY,R_YZ,R_ZX,R_ZY,R_ZZ\n"
+            "0.0,1.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,1.0\n"
+            "0.5,-0.0,0.0,0.0,0.0,0.3333333333333333,0.0,0.0,0.0,1e-17\n"
+            "1.5e-08,-1.0,-0.0,-0.0,-0.0,-1.0,-0.0,-0.0,-0.0,-1.0\n")
+
+    def test_symmetry_csv_text(self, tmp_path):
+        # one row per (mu, alpha) in XYZ order and per relation; a residual
+        # equal to tol is flagged true
+        residuals = np.full((3, 3, len(RELATIONS)), 2.0)
+        residuals[0, 1] = [1e-17, 0.25, 2.5e-7, 1.0]
+        SymmetryReport(residuals, 0.25).to_csv(tmp_path / "symmetry.csv")
+        lines = (tmp_path / "symmetry.csv").read_text().split("\n")
+        assert lines[0] == "mu,alpha,relation,residual,flag"
+        assert lines[5:9] == ["X,Y,displacement_symmetric,1e-17,true",
+                              "X,Y,displacement_antisymmetric,0.25,true",
+                              "X,Y,mirror_symmetric,2.5e-07,true",
+                              "X,Y,mirror_antisymmetric,1.0,false"]
+        assert lines[1:5] + lines[9:] == [
+            f"{m},{a},{rel},2.0,false" for m in "XYZ" for a in "XYZ" if (m, a) != ("X", "Y")
+            for rel in RELATIONS] + [""]
 
 
 @pytest.mark.parametrize("axis", ["XY", "", "w", 3, "0"])

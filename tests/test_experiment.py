@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -459,6 +461,43 @@ class TestPlanJson:
         # refused when the plan is built, not when the run starts
         with pytest.raises(ValueError, match="spacing must be one of"):
             tiny_plan(spacing=spacing)
+
+    def test_required_keys_alone_give_every_default(self):
+        doc = {key: value for key, value in tiny_plan().to_dict().items()
+               if key in ("device", "embeddings", "methods", "target_pulses", "shots", "seed")}
+        plan = ExperimentPlan.from_dict(doc)
+        defaults = {f.name: f.default if f.default_factory is dataclasses.MISSING
+                    else f.default_factory() for f in dataclasses.fields(ExperimentPlan)
+                    if f.default is not dataclasses.MISSING
+                    or f.default_factory is not dataclasses.MISSING}
+        assert len(defaults) == 7
+        assert {name: getattr(plan, name) for name in defaults} == defaults
+
+    @pytest.mark.parametrize("embeddings, repeat", [
+        (((0, 1), (0, 1)), "(0, 1)"), (((0, 1, 2), (1, 2), (0, 1, 2)), "(0, 1, 2)")])
+    def test_repeated_embedding_refused(self, embeddings, repeat):
+        # its cells would be written twice, with other shot draws
+        with pytest.raises(ValueError, match=re.escape(f"embedding {repeat} appears more than")):
+            tiny_plan(device=DeviceModel.default(n=3), embeddings=embeddings)
+
+    @pytest.mark.parametrize("methods, label", [
+        (("IDLE", "idle", "CR-XY4"), "IDLE"), (("SIM-XY4-2", "CR-XY4", " SIM-XY4-2"), "SIM-XY4-2")])
+    def test_repeated_method_refused(self, methods, label):
+        # methods compare by parsed label, as their rows are written
+        with pytest.raises(ValueError, match=f"method {label} appears more than once"):
+            tiny_plan(device=DeviceModel.default(n=3), embeddings=((0, 1, 2),), methods=methods)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("states_seed", 1.5, "states_seed must be an integer >= 0, got 1.5"),
+        ("states_seed", -1, "states_seed must be an integer >= 0, got -1")])
+    def test_seeds_must_be_integers(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_plan(**{name: value})
+
+    def test_negative_seed_accepted(self):
+        assert tiny_plan(seed=-1).seed == -1
 
     @pytest.mark.parametrize("embs", [(), ((),), ((0, 1), ())])
     def test_empty_embeddings_refused(self, embs):

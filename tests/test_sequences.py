@@ -391,6 +391,12 @@ class TestJson:
         with pytest.raises(ValueError):
             QubitGraph(2, ((0, 1),), coloring=("R", "R"))
 
+    @pytest.mark.parametrize("edges", [((0, 1), (1, 0)), ((0, 1), (1, 2), (0, 1))])
+    def test_repeated_edge_refused(self, edges):
+        # a device would sum the two couplings of one pair of qubits
+        with pytest.raises(ValueError, match=r"edge \(0,1\) appears more than once"):
+            QubitGraph(3, edges)
+
     def test_no_self_loops(self):
         with pytest.raises(ValueError):
             QubitGraph(2, ((1, 1),))

@@ -1,20 +1,22 @@
 """Hot numeric kernels, one numpy implementation each.
 
 ``cf4_chain``
-    The one shaped-pulse builder, for control and the DRAG calibration: the
-    unitaries after every step of the fourth-order commutator-free (CF4)
-    integrator (Blanes & Moan, Appl. Numer. Math. 56, 2006) for a single-qubit
-    drive, two closed-form SU(2) factors per step (``cf4_steps``) built from
-    the complex drive rate at the two Gauss nodes.
+    The one shaped-pulse builder, for control, the DRAG calibration and the
+    factored shaped pieces of ``sim``: the unitaries after every step of the
+    fourth-order commutator-free (CF4) integrator (Blanes & Moan, Appl.
+    Numer. Math. 56, 2006) for a single-qubit drive, two closed-form SU(2)
+    factors per step (``cf4_steps``) built from the complex drive rate at the
+    two Gauss nodes, plus a constant Z rate (``sim``'s neighbour-set ZZ and
+    Z field; one chain per rate on the same samples).
 
 ``su2_chain``
     Sequential composition of per-step SU(2) factors
-    ``U <- exp(-i(dx X + dy Y)/2) exp(-i(cx X + cy Y)/2) U`` recording the
-    unitary after every step (control runs it inside shaped pulses only).
-    Steps with all-zero coefficients copy the node exactly; steps with only a
-    (cx, cy) pair realize instantaneous rotations.  The prefix products are
-    formed as unit quaternions by a work-efficient log-depth scan (Blelloch
-    1990).
+    ``U <- exp(-i(dx X + dy Y + z Z)/2) exp(-i(cx X + cy Y + z Z)/2) U``
+    recording the unitary after every step (it runs inside shaped pulses
+    only).  Steps with all-zero coefficients copy the node exactly; steps
+    with only a (cx, cy) pair realize instantaneous rotations.  The prefix
+    products are formed as unit quaternions by a work-efficient log-depth
+    scan (Blelloch 1990).
 
 ``turns``
     Closed-form turns ``exp(-i a/2 (cos(phase) X + sin(phase) Y))``.
@@ -28,9 +30,10 @@
 
 ``rk4_evolve``
     Fixed-step RK4 for ``dpsi/dt = -i H(t) psi`` with the same H, its
-    transverse coefficients varying in time.  Transverse coefficients are
-    sampled per step at (start, midpoint, end) so segment boundaries stay
-    one-sided.  A call that propagates at least ``dim`` columns
+    transverse coefficients varying in time; ``sim`` runs it only on shaped
+    pieces where two adjacent qubits drive together.  Transverse
+    coefficients are sampled per step at (start, midpoint, end) so segment
+    boundaries stay one-sided.  A call that propagates at least ``dim`` columns
     (``ncol * reps >= dim``) with ``dim <= 32`` builds the RK4 transfer
     matrix of every step, in chunks of one identity per step laid side by
     side, composes them by a pairwise ordered product and applies the result;
@@ -65,15 +68,21 @@ def cf4_steps(w1, w2, h):
     return c.real, c.imag, d.real, d.imag
 
 
-def cf4_chain(rate, t0, h, n):
+def cf4_chain(rate, t0, h, n, wz=0.0):
     """Unitaries from I after each of ``n`` CF4 steps of length ``h`` from
     ``t0``, shape (n + 1, 2, 2) with I first, for the complex drive rate
-    ``rate(t) = wx + i wy``, called on all steps at each Gauss node."""
+    ``rate(t) = wx + i wy``, called on all steps at each Gauss node, plus the
+    constant Z rate ``wz``.  A 1-D ``wz`` gives one chain per Z rate on the
+    same rate samples, shape (len(wz), n + 1, 2, 2).  The CF4 weights sum to
+    1/2, so both factors of a step carry the Z coefficient ``h wz / 2``."""
     t = t0 + np.arange(n) * h
     g1, g2 = _GAUSS_NODES
-    out = np.empty((n + 1, 2, 2), dtype=np.complex128)
-    out[0] = np.eye(2)
-    su2_chain(*cf4_steps(rate(t + g1 * h), rate(t + g2 * h), h), out)
+    steps = cf4_steps(rate(t + g1 * h), rate(t + g2 * h), h)
+    wz = np.asarray(wz, dtype=float)
+    out = np.empty(wz.shape + (n + 1, 2, 2), dtype=np.complex128)
+    for w, chain in zip(wz.ravel(), out.reshape(-1, n + 1, 2, 2)):
+        chain[0] = np.eye(2)
+        su2_chain(*steps, chain, 0.5 * h * w)
     return out
 
 
@@ -100,11 +109,12 @@ def _quat_mul(a, b):
                      a0 * b3 + b0 * a3 + a1 * b2 - a2 * b1))
 
 
-def _rotation_quat(ax, ay):
-    """Quaternion of exp(-i (ax X + ay Y) / 2); zero rates give exactly I."""
-    th = np.hypot(ax, ay)
+def _rotation_quat(ax, ay, az=0.0):
+    """Quaternion of exp(-i (ax X + ay Y + az Z) / 2); zero rates give
+    exactly I."""
+    th = np.hypot(np.hypot(ax, ay), az)
     s = np.sin(0.5 * th) / np.where(th > 0.0, th, 1.0)
-    return np.stack((np.cos(0.5 * th), s * ax, s * ay, np.zeros_like(th)))
+    return np.stack((np.cos(0.5 * th), s * ax, s * ay, s * az))
 
 
 def _prefix_products(q):
@@ -122,11 +132,12 @@ def _prefix_products(q):
     return out
 
 
-def su2_chain(cx, cy, dx, dy, out):
-    """Fill ``out[1:]`` with the unitaries after each step, from ``out[0]``."""
-    moving = (cx != 0.0) | (cy != 0.0) | (dx != 0.0) | (dy != 0.0)
-    steps = _quat_mul(_rotation_quat(dx[moving], dy[moving]),
-                      _rotation_quat(cx[moving], cy[moving]))
+def su2_chain(cx, cy, dx, dy, out, z=0.0):
+    """Fill ``out[1:]`` with the unitaries after each step, from ``out[0]``;
+    both factors of every step carry the Z coefficient ``z``."""
+    moving = (cx != 0.0) | (cy != 0.0) | (dx != 0.0) | (dy != 0.0) | (z != 0.0)
+    steps = _quat_mul(_rotation_quat(dx[moving], dy[moving], z),
+                      _rotation_quat(cx[moving], cy[moving], z))
     # column k is the product of the first k moving steps; a zero step
     # reuses the column of the last moving step, so its node is copied exactly
     prefix = np.concatenate(([[1.0], [0.0], [0.0], [0.0]], _prefix_products(steps)), axis=1)

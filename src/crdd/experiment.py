@@ -382,14 +382,24 @@ SUMMARY_HEADER = ("n", "method", "sim_median_tau_s", "sim_iqr_s", "cr_median_tau
 
 def _read_csv(path, columns):
     """Rows as dicts of the ``(column, type)`` pairs, each column found by its
-    header name and cast by its type; blank lines are skipped."""
+    header name and cast by its type; blank lines are skipped.  A missing
+    column, or a row with fewer fields than the header, raises ValueError
+    naming the file (and the row's line)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             return []
+        missing = [column for column, _ in columns if column not in header]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
         cells = [(column, header.index(column), cast) for column, cast in columns]
-        return [{column: cast(row[i]) for column, i, cast in cells} for row in reader if row]
+        body = list(reader)
+    for line, row in enumerate(body, 2):
+        if row and len(row) < len(header):
+            raise ValueError(f"{path}: line {line} has {len(row)} fields, "
+                             f"the header {len(header)}")
+    return [{column: cast(row[i]) for column, i, cast in cells} for row in body if row]
 
 
 def _record_rows(records):

@@ -7,12 +7,20 @@ through a precomputed diagonal.  A cycle is cut at every segment edge, with
 the step counts, offsets and phase-0 keys of ``sequences._common_cut``.
 Where every qubit sits in a delay or a square pulse, H is constant on the
 cut interval and its propagator is applied exactly (a phase when H is
-diagonal, else a scaled Taylor series).  Intervals inside shaped envelopes
-take fixed-step RK4 with drive coefficients sampled one-sidedly per step at
-offsets into each segment, so envelopes never leak across segment
-boundaries; RK4 on enough columns of a small system composes the transfer
-matrices of its steps (see ``evolve``).  An ideal pulse idles through its
-slot and turns instantly, by an exact rotation, at the slot's midpoint.
+diagonal, else a scaled Taylor series).  Inside shaped envelopes, let P be
+the qubits that pulse or carry a static X/Y field.  Where no edge joins two
+qubits of P, as on every piece of a CR stagger, each other qubit's Z
+commutes with H, so the interval is a diagonal phase times one SU(2) turn
+per qubit of P, chosen by its neighbours' bits: the CF4 chain ``control``
+builds (``_kernels.cf4_chain``) with the constant Z rate those bits set, at
+the cut's step counts.  RK4 remains only where two adjacent qubits of P
+drive together (SIM cycles, mid-pulse overlaps, a transverse field next to
+a pulsing qubit): fixed steps with drive coefficients sampled one-sidedly
+per step at offsets into each segment, so envelopes never leak across
+segment boundaries; RK4 on enough columns of a small system composes the
+transfer matrices of its steps (see ``evolve``).  An ideal pulse idles
+through its slot and turns instantly, by an exact rotation, at the slot's
+midpoint.
 
 Pulsed intervals, square or shaped, that differ only in the drive phases of
 their pulses share one propagator, keyed by their pulsing qubits' keys: a
@@ -20,7 +28,8 @@ pulse of phase phi on qubit q is the phase-0 pulse conjugated by
 exp(-i phi Z_q / 2), and that rotation commutes with the Z/ZZ diagonal (the
 virtual-Z identity, McKay et al., PRA 96, 022330 (2017)).  A pulsing
 qubit's static X/Y field is turned by -phi into the same frame and joins
-the key.  Every interval is applied as D P D^dag, D that diagonal rotation
+the key.  A factored interval conjugates each qubit's turns by its phase;
+every other interval is applied as D P D^dag, D that diagonal rotation
 and P its phase-0 propagator: built once on the identity and reused
 wherever that is cheaper than propagating every occurrence, else propagated
 on the rotated columns.  Delay-only intervals run unkeyed with D = 1.
@@ -210,14 +219,17 @@ def product_state(poles):
 
 
 def _apply_single_qubit(psi, gate, q, n):
-    """Apply a 2x2 gate on qubit q to a (dim,) or (dim, k) array."""
+    """Apply a 2x2 gate on qubit q to a (dim,) or (dim, k) array; a gate of
+    shape (2**q, 2**(n-q-1), 2, 2) holds one per pair of basis states that
+    differ in qubit q."""
     dim = 1 << n
     pre = 1 << q
     post = dim // (2 * pre)
     shaped = psi.reshape(pre, 2, post, -1)
+    g = gate[..., None]
     out = np.empty_like(shaped)
-    out[:, 0] = gate[0, 0] * shaped[:, 0] + gate[0, 1] * shaped[:, 1]
-    out[:, 1] = gate[1, 0] * shaped[:, 0] + gate[1, 1] * shaped[:, 1]
+    out[:, 0] = g[..., 0, 0, :] * shaped[:, 0] + g[..., 0, 1, :] * shaped[:, 1]
+    out[:, 1] = g[..., 1, 0, :] * shaped[:, 0] + g[..., 1, 1, :] * shaped[:, 1]
     return out.reshape(psi.shape)
 
 
@@ -305,8 +317,18 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
       its slot's midpoint (the slot's parts are keyed None, as delays are);
     * ``("exact", key, phis, t, ax, ay)``: every qubit sits in a delay or a
       square pulse, so H is constant with rates ``ax, ay`` (n,) for ``t``;
-    * ``("rk4", key, phis, h, ax, ay)``: a shaped envelope, in RK4 steps
-      ``h`` with rates (nsteps, 3, n) at each step's start, midpoint and end.
+    * ``("factored", None, None, phase, [(q, classes, turns), ...])``: a
+      shaped envelope where no edge joins two qubits of P, the qubits that
+      pulse or carry a static X/Y field.  Every other qubit's Z commutes
+      with H, so the propagator is the diagonal ``phase`` (dim,) of the Z/ZZ
+      terms outside P times one SU(2) turn per q in P, set by its
+      neighbours' bits: ``turns[c]`` is the CF4 endpoint of q's drive plus
+      the c-th distinct value of its Z rate ``b_q^z + sum_{p~q} J_qp z_p``,
+      and ``classes`` (2**q, 2**(n-q-1)) holds ``c`` for every pair of basis
+      states q turns, in ``_apply_single_qubit``'s layout;
+    * ``("rk4", key, phis, h, ax, ay)``: a shaped envelope where two adjacent
+      qubits of P drive together, in RK4 steps ``h`` with rates (nsteps, 3,
+      n) at each step's start, midpoint and end.
 
     An interval in which some qubit pulses, square or shaped, is keyed by
     ``(q, key, fx + i fy)`` of each pulsing qubit, ``key`` its part's
@@ -317,37 +339,65 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
     ``phis`` (n,) holds each pulsing qubit's drive phase (0 elsewhere): its
     propagator is the key's conjugated by ``exp(-i/2 sum_q phis_q Z_q)``,
     exact because that rotation is constant over the interval and commutes
-    with the Z/ZZ diagonal.  A delay-only interval is keyed None with
-    ``phis`` 0.
+    with the Z/ZZ diagonal.  A factored span carries its turns already so
+    conjugated, as ``control.propagate`` turns a pulse to its phase.  A
+    delay-only interval is keyed None with ``phis`` 0.
     """
     n = device.n
     _check_capacity(n)
     edges, pieces, events = _common_cut(schedules, samples_per_pulse)
     diag_bound = float(np.abs(diag).max())
     b = device.b[:, 0] + 1j * device.b[:, 1]
+    zsign = _zsign(n)
+    neighbours = [[] for _ in range(n)]
+    for (u, v), j in zip(device.graph.edges, device.zz):
+        neighbours[u].append((v, j))
+        neighbours[v].append((u, j))
+
+    def rate(part, offsets):
+        """Complex rate ``wi + i wq`` of a part's pulse at phase 0 at
+        ``offsets`` from the start of the interval (0 on a delay)."""
+        s, lo, _, key = part
+        if key is None:
+            return np.zeros(offsets.shape, dtype=complex)
+        p = s.pulse
+        local = np.clip(lo + offsets, 0.0, s.duration)
+        wi, wq = envelope_amplitude(p.shape, p.flip_angle, s.duration, local.ravel())
+        return (wi + 1j * wq).reshape(offsets.shape)
 
     def drive(parts, offsets, field):
         """Rates ``ax, ay`` of shape ``offsets.shape + (n,)`` at ``offsets``
         from the start of the interval: every pulse at phase 0 plus the
         static X/Y field ``field`` (n,), as ``fx + i fy``."""
-        ax = np.zeros(offsets.shape + (n,))
-        ay = np.zeros(offsets.shape + (n,))
-        for q, (s, lo, _, key) in enumerate(parts):
-            if key is not None:
-                p = s.pulse
-                local = np.clip(lo + offsets, 0.0, s.duration)
-                wi, wq = envelope_amplitude(p.shape, p.flip_angle, s.duration,
-                                            local.ravel())
-                ax[..., q] = 0.5 * wi.reshape(offsets.shape)
-                ay[..., q] = 0.5 * wq.reshape(offsets.shape)
-        return ax + field.real, ay + field.imag
+        w = np.stack([0.5 * rate(part, offsets) for part in parts], axis=-1) + field
+        return w.real, w.imag
+
+    def factored(parts, t, nst, field, pset):
+        """The factored span's ``phase`` and ``(q, classes, turns)`` at phase
+        0; a qubit at a constant rate (a delay or a square pulse) turns in
+        one CF4 step, which is exact."""
+        rest = diag.copy()
+        out = []
+        for q in pset:
+            hz = sum((j * zsign[p] for p, j in neighbours[q]), np.full(1 << n, device.b[q, 2]))
+            values, classes = np.unique(hz, return_inverse=True)
+            rest -= zsign[q] * hz
+            part = parts[q]
+            steps = 1 if part[3] is None or part[0].pulse.shape.kind == "square" else nst
+            turns = _kernels.cf4_chain(lambda s: rate(part, s) + 2.0 * field[q], 0.0,
+                                       t / steps, steps, 2.0 * values)[:, -1]
+            out.append((q, classes.reshape(1 << q, 2, -1)[:, 0], turns))
+        return "factored", np.exp(-1j * t * rest), out
 
     def tables(parts, t, nst, field):
         """``("exact", t, ax, ay)`` when every qubit sits in a delay or a
-        square pulse, else ``("rk4", h, ax, ay)`` in at least ``nst`` RK4
-        steps."""
+        square pulse, ``factored`` when no edge joins two qubits of P, else
+        ``("rk4", h, ax, ay)`` in at least ``nst`` RK4 steps."""
         if all(key is None or s.pulse.shape.kind == "square" for s, _, _, key in parts):
             return ("exact", t, *drive(parts, np.array(0.0), field))
+        pset = [q for q in range(n) if parts[q][3] is not None or b[q] != 0.0]
+        if not any(u in pset and v in pset for u, v in device.graph.edges):
+            return factored(parts, t, nst, field, pset)
 
         def sample(nst):
             hs = t / nst
@@ -381,7 +431,14 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
                  else tables(parts, edges[i + 1] - lo, nst, field))
         if key is not None:
             keyed[key] = entry
-        spans_out.append((entry[0], key, phis, *entry[1:]))
+        if entry[0] == "factored":
+            # exp(-i phi Z/2) U exp(i phi Z/2): each turn at its pulse's phase
+            e = np.exp(1j * phis)
+            spans_out.append(("factored", None, None, entry[1], [
+                (q, classes, turns * np.array([[1.0, e[q].conjugate()], [e[q], 1.0]]))
+                for q, classes, turns in entry[2]]))
+        else:
+            spans_out.append((entry[0], key, phis, *entry[1:]))
     return spans_out
 
 
@@ -396,15 +453,23 @@ def _integrate(span, flat, diag, nq):
 
 
 def _run_cycle(spans, psi, diag, zsign, shared):
-    """Apply one compiled cycle.  Every interval is ``D P D^dag`` with
-    ``D = exp(-i/2 sum_q phis_q Z_q)`` and ``P`` the phase-0 propagator
-    ``shared`` holds for its key, else ``_integrate`` at the span's rates."""
+    """Apply one compiled cycle.  A factored span is its diagonal phase and
+    then each qubit's turn, gathered by the class of every basis state.
+    Every other interval is ``D P D^dag`` with ``D = exp(-i/2 sum_q phis_q
+    Z_q)`` and ``P`` the phase-0 propagator ``shared`` holds for its key,
+    else ``_integrate`` at the span's rates."""
     nq, dim = zsign.shape
     for span in spans:
         kind, key, phis = span[:3]
         if kind == "rot":
             for (q, phase, angle) in span[3]:
                 psi = _apply_single_qubit(psi, _kernels.turns(phase, angle)[0], q, nq)
+            continue
+        if kind == "factored":
+            flat = span[3][:, None] * psi.reshape(dim, -1)
+            for q, classes, turns in span[4]:
+                flat = _apply_single_qubit(flat, turns[classes], q, nq)
+            psi = flat.reshape(psi.shape)
             continue
         d = np.exp(-0.5j * (phis @ zsign))[:, None]
         flat = d.conj() * psi.reshape(dim, -1)
@@ -420,18 +485,23 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256):
     Every interval of the cut is applied as a phase-0 propagator conjugated
     by the diagonal ``exp(-i/2 sum_q phis_q Z_q)`` of its drive phases (see
     ``_compile_cycle``).  Where every qubit sits in a delay or a square pulse
-    H is constant and the interval is propagated exactly; inside a shaped
-    (gaussian or DRAG) envelope it takes fixed RK4 steps, of which
-    ``samples_per_pulse`` per longest pulse set the coarsest.  An RK4
+    H is constant and the interval is propagated exactly.  Inside a shaped
+    (gaussian or DRAG) envelope where no two adjacent qubits pulse or carry
+    a static X/Y field, as on every CR piece, the interval is factored: a
+    diagonal phase, then one CF4 SU(2) turn per such qubit gathered by each
+    basis state's neighbour class, O(dim) per qubit and column, the same for
+    a statevector as for a propagator.  Only where two adjacent qubits drive
+    together does it take fixed RK4 steps.  ``samples_per_pulse`` per
+    longest pulse set the CF4 step and the coarsest RK4 step.  An RK4
     interval applied to at least ``dim`` columns with ``dim <= 32`` is the
     ordered product of its steps' RK4 transfer matrices, built in chunks of
     at most 2**12 amplitudes; otherwise the columns step matrix-free.  A key
-    used ``uses`` times over all repetitions, square or shaped, is propagated
-    once, on the identity, when that costs no more than propagating each use
-    directly (``dim <= ncol * uses``, ``ncol`` the number of columns of
-    ``psi0``), and then holds one dim x dim array for the whole call; a
-    statevector builds one only for a key it would otherwise propagate at
-    least ``dim`` times.
+    of an exact or RK4 interval used ``uses`` times over all repetitions is
+    propagated once, on the identity, when that costs no more than
+    propagating each use directly (``dim <= ncol * uses``, ``ncol`` the
+    number of columns of ``psi0``), and then holds one dim x dim array for
+    the whole call; a statevector builds one only for a key it would
+    otherwise propagate at least ``dim`` times.
     Raises IntegrationError when a column norm drifts beyond 1e-9
     (``_NORM_TOL``) or turns NaN, and ValueError for ``repetitions`` that is
     not an integer >= 0, for ``samples_per_pulse`` that is not an integer
@@ -469,9 +539,11 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256):
 def cycle_propagator(device, schedules, samples_per_pulse=256):
     """One-cycle propagator matrix U(tau_c): the columns of the identity
     evolved together by ``evolve``, exactly wherever H is piecewise constant.
-    With ``dim`` columns every keyed interval, square or shaped, meets the
-    sharing rule, so each distinct one is propagated once per call and its
-    phase variants are diagonal conjugations of it."""
+    Shaped CR pieces are factored into per-qubit CF4 turns; RK4 remains only
+    where adjacent qubits drive together.  With ``dim`` columns every keyed
+    exact or RK4 interval meets the sharing rule, so each distinct one is
+    propagated once per call and its phase variants are diagonal
+    conjugations of it."""
     dim = 1 << device.n
     eye = np.eye(dim, dtype=complex)
     return evolve(device, schedules, repetitions=1, psi0=eye,

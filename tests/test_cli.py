@@ -306,6 +306,28 @@ class TestSimFitSummarizeReport:
         assert run("fit", "--in", str(results), "--out", str(fits)) == 0
         assert "degenerate" in fits.read_text()
 
+    @pytest.mark.parametrize("verb", ["fit", "report"])
+    def test_short_results_row_exits_2(self, tmp_path, capsys, verb):
+        results = tmp_path / "results.csv"
+        lines = ["method,embedding_id,state_id,duration_s,pulses,shots,zeros,p0",
+                 "IDLE,0-1,type1_+z,1.0,0,100,30,0.3", "IDLE,0-1,type1_+z,2.0"]
+        results.write_text("\n".join(lines) + "\n")
+        out = ["--out", str(tmp_path / "fits.csv")] if verb == "fit" else [
+            "--out-dir", str(tmp_path / "plots")]
+        assert run(verb, "--in" if verb == "fit" else "--results", str(results), *out) == 2
+        assert f"{results}: line 3 has 4 fields, the header 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["fit", "report"])
+    def test_missing_results_column_exits_2(self, tmp_path, capsys, verb):
+        results = tmp_path / "results.csv"
+        lines = ["method,embedding_id,state_id,duration_s,pulses,shots,zeros",
+                 "IDLE,0-1,type1_+z,1.0,0,100,30"]
+        results.write_text("\n".join(lines) + "\n")
+        out = ["--out", str(tmp_path / "fits.csv")] if verb == "fit" else [
+            "--out-dir", str(tmp_path / "plots")]
+        assert run(verb, "--in" if verb == "fit" else "--results", str(results), *out) == 2
+        assert f"{results}: missing column(s) p0" in capsys.readouterr().err
+
     def test_report_byte_identical(self, tmp_path):
         plan = tiny_plan_json(tmp_path)
         results = tmp_path / "results.csv"

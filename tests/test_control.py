@@ -72,8 +72,8 @@ class TestPropagate:
     def test_nan_node_raises(self, monkeypatch):
         chain = _kernels.su2_chain
 
-        def nan_chain(cx, cy, dx, dy, out):
-            chain(cx, cy, dx, dy, out)
+        def nan_chain(cx, cy, dx, dy, out, z=0.0):
+            chain(cx, cy, dx, dy, out, z)
             out[len(out) // 2] = np.nan
 
         monkeypatch.setattr(_kernels, "su2_chain", nan_chain)
@@ -383,8 +383,8 @@ class TestSegmentChi:
     def test_nan_node_raises(self, monkeypatch):
         chain = _kernels.su2_chain
 
-        def nan_chain(cx, cy, dx, dy, out):
-            chain(cx, cy, dx, dy, out)
+        def nan_chain(cx, cy, dx, dy, out, z=0.0):
+            chain(cx, cy, dx, dy, out, z)
             out[len(out) // 2] = np.nan
 
         monkeypatch.setattr(_kernels, "su2_chain", nan_chain)

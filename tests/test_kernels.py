@@ -81,6 +81,17 @@ class TestCf4Chain:
         assert np.array_equal(out[0], np.eye(2))
         assert np.abs(out[-1] - np.array([[0, -1j], [-1j, 0]])).max() <= 1e-13
 
+    def test_constant_rates_with_z_are_exact(self):
+        # CF4 is exact on a constant H; each Z rate gets its own chain on the
+        # same rate samples
+        w, wz, n = 0.7 - 1.9j, np.array([0.0, 0.4, -2.3]), 8
+        out = _kernels.cf4_chain(lambda t: np.full(t.shape, w), 0.0, 0.25, n, wz)
+        assert out.shape == (3, n + 1, 2, 2)
+        for chain, z in zip(out, wz):
+            h = (w.real * X + w.imag * Y + z * np.diag([1.0, -1.0])) / 2
+            for k in (1, n):
+                assert np.abs(chain[k] - expm(-1j * 0.25 * k * h)).max() < 1e-14
+
     @pytest.mark.parametrize("shape", [PulseShape.gaussian(), PulseShape.gaussian_drag(
         drag_coefficient=0.1)], ids=lambda s: s.kind)
     def test_fourth_order(self, shape):

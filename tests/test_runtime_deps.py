@@ -2,11 +2,13 @@ import functools
 import importlib
 import importlib.util
 import inspect
+import math
 import os
 import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import crdd
@@ -64,3 +66,43 @@ def test_benchmark_positional_reads_match_signatures():
     assert _params(sequences.envelope_amplitude)[3] == "t"
     assert _params(sim.cycle_propagator)[1] == "schedules"
     assert _params(experiment.cycle_propagator)[1] == "schedules"
+
+
+def test_factored_path_stays_observable(monkeypatch):
+    # the benchmark counts envelope samples at sim's and control's
+    # ``envelope_amplitude`` and SU(2) steps as ``len(cx)`` of each
+    # ``su2_chain`` call: the factored sim path must sample through the
+    # former and pass the latter a 1-D ``cx``
+    from crdd import _kernels, control, sequences, sim
+    dev = sim.DeviceModel.default(n=4)
+    drag = sequences.PulseShape.gaussian_drag()
+    sched = sequences.cr_dd("XY4", tau_p=dev.tau_p, shape=drag)
+    seqs = [sched.red if c == "R" else sched.blue for c in dev.graph.coloring]
+    sequences.envelope_amplitude(drag, math.pi, 1.0, 0.5)  # fills the calibration cache
+    wrapped, drawn, cx_ndims = [0], [0], []
+
+    def counting(fn):
+        def inner(*args):
+            wrapped[0] += np.size(args[3])  # ``t``, as the benchmark reads it
+            return fn(*args)
+        return inner
+
+    for module in (sim, control):
+        monkeypatch.setattr(module, "envelope_amplitude", counting(module.envelope_amplitude))
+    envelope = sequences._drag_complex_envelope
+
+    def drawing(theta, tau_p, sigma, beta, scale, detuning, t):
+        drawn[0] += np.size(t)
+        return envelope(theta, tau_p, sigma, beta, scale, detuning, t)
+
+    monkeypatch.setattr(sequences, "_drag_complex_envelope", drawing)
+    chain = _kernels.su2_chain
+
+    def recording(cx, *args):
+        cx_ndims.append(np.ndim(cx))
+        return chain(cx, *args)
+
+    monkeypatch.setattr(_kernels, "su2_chain", recording)
+    sim.cycle_propagator(dev, seqs)
+    assert drawn[0] > 0 and wrapped[0] == drawn[0]
+    assert cx_ndims and set(cx_ndims) == {1}

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -251,24 +252,29 @@ def mid_pulse_schedules(shape=DRAG):
     return [q0, q1]
 
 
-def lab_frame_rk4(dev, seqs):
-    """The cycle's propagator by RK4 in the lab frame: each interval's
-    rates hold every pulse at its real phase plus the unturned static X/Y
-    field.  It takes the step grid of ``sim``'s spans (a delay-only span in
-    64 steps), so both RK4 maps agree to rounding; nothing is keyed or
-    conjugated."""
+def lab_frame_rk4(dev, seqs, steps_per_pulse=1024):
+    """The cycle's propagator by RK4 in the lab frame, on a step grid of its
+    own: the union of the schedules' segment edges, an interval in which m
+    qubits pulse in steps of at most ``tau_p / (m steps_per_pulse)`` (the
+    drive amplitudes add in the worst eigenvalue), a delay-only one in 64
+    steps.  Each interval's rates hold every pulse at its real phase plus
+    the unturned static X/Y field; nothing is keyed, conjugated or
+    factored."""
     diag = hamiltonian_diagonal(dev)
     starts = [np.cumsum([0.0] + [s.duration for s in seq.segments]) for seq in seqs]
-    u, t0 = np.eye(1 << dev.n, dtype=complex), 0.0
-    for kind, _, _, h, *_ in _compile_cycle(dev, seqs, 256, diag):
-        h = h if kind == "rk4" else np.full(64, h / 64)
-        offs = t0 + np.cumsum(h) - h
+    edges = np.unique(np.concatenate(starts))
+    u = np.eye(1 << dev.n, dtype=complex)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        ks = [np.searchsorted(st, (lo + hi) / 2) - 1 for st in starts]
+        segs = [seq.segments[k] for seq, k in zip(seqs, ks)]
+        m = sum(s.kind == "pulse" for s in segs)
+        nst = math.ceil((hi - lo) / dev.tau_p * m * steps_per_pulse) if m else 64
+        h = np.full(nst, (hi - lo) / nst)
+        offs = lo + np.arange(nst) * h
         times = np.stack([offs, offs + h / 2, offs + h], axis=1)
         ax = np.tile(dev.b[:, 0], times.shape + (1,))
         ay = np.tile(dev.b[:, 1], times.shape + (1,))
-        for q, seq in enumerate(seqs):
-            k = np.searchsorted(starts[q], t0 + h.sum() / 2) - 1
-            s = seq.segments[k]
+        for q, (s, k) in enumerate(zip(segs, ks)):
             if s.kind == "pulse":
                 local = np.clip(times - starts[q][k], 0.0, s.duration)
                 wi, wq = envelope_amplitude(s.pulse.shape, s.pulse.flip_angle, s.duration,
@@ -277,7 +283,6 @@ def lab_frame_rk4(dev, seqs):
                 ax[..., q] += 0.5 * (wi * c - wq * sn).reshape(times.shape)
                 ay[..., q] += 0.5 * (wi * sn + wq * c).reshape(times.shape)
         _kernels.rk4_evolve(u, ax, ay, diag, h, 1)
-        t0 += h.sum()
     return u
 
 
@@ -328,9 +333,10 @@ def count_expm_calls(monkeypatch):
 
 class TestSharedPhasePropagators:
     def test_drag_catalog_matches_direct(self, monkeypatch):
-        # CR-(XY4,UR12) keys both colours' pulses, each used 12 times per
-        # cycle.  One random state weighs every column of U; a single column
-        # is below the sharing rule, so its evolve is the direct path.
+        # CR-(XY4,UR12) never drives two adjacent qubits together and the
+        # default device has no static X/Y field, so every pulsed piece is
+        # factored and no RK4 runs.  One random state weighs every column of
+        # U against the one-column evolve.
         dev = DeviceModel.default(n=4)
         sched = cr_dd("XY4", "UR12", tau_p=dev.tau_p, shape=DRAG)
         seqs = [sched.red if c == "R" else sched.blue for c in dev.graph.coloring]
@@ -340,7 +346,7 @@ class TestSharedPhasePropagators:
         psi0 /= np.linalg.norm(psi0)
         calls = count_rk4_calls(monkeypatch)
         psi = evolve(dev, seqs, psi0=psi0)
-        assert calls == [(16, 1)] * 24
+        assert calls == []
         assert np.abs(u @ psi0 - psi).max() < 1e-12
 
     def test_mid_pulse_cut(self, monkeypatch):
@@ -348,35 +354,121 @@ class TestSharedPhasePropagators:
         seqs = mid_pulse_schedules()
         calls = count_rk4_calls(monkeypatch)
         u = cycle_propagator(dev, seqs)
-        # four keys: q0 alone, q0 second half with q1 first half (twice, at
-        # phases pi/2, 0 and 0.3, 1.1), q0 first half with q1 second half,
-        # q1 alone
-        assert calls == [(4, 4)] * 4
+        # two RK4 keys where both qubits pulse: q0 second half with q1 first
+        # half (twice, at phases pi/2, 0 and 0.3, 1.1), q0 first half with q1
+        # second half; the pieces where one qubit pulses alone are factored
+        assert calls == [(4, 4)] * 2
         assert np.abs(u - direct_columns(dev, seqs)).max() < 1e-12
 
     def test_transverse_field_falls_back(self, monkeypatch):
         dev = two_qubit_device(0.02, b=[[0.05, -0.02, 0.01], [0.0, 0.0, -0.03]])
         seqs = mid_pulse_schedules()
         calls = count_rk4_calls(monkeypatch)
-        u = cycle_propagator(dev, seqs)
+        # fine enough that both the cut's RK4 and the oracle's own grid sit
+        # well inside the bound
+        u = cycle_propagator(dev, seqs, samples_per_pulse=2048)
         # q0's field, turned into its pulse frame, joins the key: the two
         # intervals of q0's second half with q1's first half turn it by pi/2
-        # and by 0.3, so they no longer share; five keys
-        assert calls == [(4, 4)] * 5
-        assert np.abs(u - lab_frame_rk4(dev, seqs)).max() < 1e-12
+        # and by 0.3, so they no longer share.  Where q1 pulses alone, its
+        # neighbour q0 carries a transverse field, so that piece falls back
+        # to RK4 too; only q0 alone is factored.  Four keys
+        assert calls == [(4, 4)] * 4
+        assert np.abs(u - lab_frame_rk4(dev, seqs, 4096)).max() < 1e-12
 
     def test_repetitions_share_across_cycles(self, monkeypatch):
-        # one column over three cycles: the key used twice per cycle reaches
-        # 6 uses against a dimension of 4 and is shared; the three keys used
-        # once per cycle run RK4 directly in every cycle
+        # one column over three cycles: the RK4 key used twice per cycle
+        # reaches 6 uses against a dimension of 4 and is shared; the RK4 key
+        # used once per cycle runs directly in every cycle, and the pieces
+        # where one qubit pulses alone are factored
         dev = two_qubit_device(0.02, b=[[0.0, 0.0, 0.01], [0.0, 0.0, -0.03]])
         seqs = mid_pulse_schedules()
         u = cycle_propagator(dev, seqs)
         psi0 = product_state(("+y", "-x"))
         calls = count_rk4_calls(monkeypatch)
         psi = evolve(dev, seqs, repetitions=3, psi0=psi0)
-        assert calls == [(4, 4)] + [(4, 1)] * 9
+        assert calls == [(4, 4)] + [(4, 1)] * 3
         assert np.abs(psi - np.linalg.matrix_power(u, 3) @ psi0).max() < 1e-12
+
+
+def random_device(graph, seed, transverse=(), tau_p=5.69e-8, j_tau_p=5e-3):
+    """``graph`` two-coloured with seeded random couplings, J tau_p uniform in
+    [0.5, 1.5] times ``j_tau_p``, static Z fields within +/- 0.2 J, and
+    static X/Y fields within +/- 0.1 J on the ``transverse`` qubits."""
+    rng = np.random.default_rng(seed)
+    j = j_tau_p / tau_p
+    b = np.zeros((graph.n, 3))
+    b[:, 2] = rng.uniform(-0.2, 0.2, graph.n) * j
+    b[list(transverse), :2] = rng.uniform(-0.1, 0.1, (len(transverse), 2)) * j
+    return DeviceModel(two_color(graph), rng.uniform(0.5, 1.5, len(graph.edges)) * j, b, tau_p)
+
+
+def colour_schedules(dev, sched):
+    return [sched.red if c == "R" else sched.blue for c in dev.graph.coloring]
+
+
+def span_kinds(dev, seqs):
+    return Counter(span[0] for span in _compile_cycle(dev, seqs, 256, hamiltonian_diagonal(dev)))
+
+
+RING = QubitGraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+
+
+class TestFactoredPropagation:
+    # The oracle at 1024 steps per pulse is within 4e-13 of its own grid at
+    # 2048 on these cycles, and the factored CF4 at 256 within 2e-13 of it.
+    # The padding modes alternate across bases, both on XY4 and on
+    # (XY4,UR12); RGA64c is left out for time (about 1 s per oracle cycle).
+    @pytest.mark.parametrize("graph,red,blue,mode", [
+        (QubitGraph.path(3), "XY4", None, "symmetric"),
+        (QubitGraph.path(3), "XY4", None, "asymmetric"),
+        (QubitGraph.path(3), "EDD", None, "symmetric"),
+        (QubitGraph.path(3), "KDD", None, "asymmetric"),
+        (QubitGraph.path(3), "UR10", None, "symmetric"),
+        (QubitGraph.path(3), "UR12", None, "asymmetric"),
+        (QubitGraph.path(3), "XY4", "UR12", "symmetric"),
+        (QubitGraph.path(3), "XY4", "UR12", "asymmetric"),
+        (RING, "XY4", None, "asymmetric")], ids=lambda x: getattr(x, "n", x))
+    def test_drag_catalog_matches_lab_frame(self, monkeypatch, graph, red, blue, mode):
+        dev = random_device(graph, seed=11)
+        seqs = colour_schedules(dev, cr_dd(red, blue, tau_p=dev.tau_p, shape=DRAG, k=2,
+                                           mode=mode))
+        calls = count_rk4_calls(monkeypatch)
+        u = cycle_propagator(dev, seqs)
+        assert calls == []
+        monkeypatch.undo()
+        assert np.abs(u - lab_frame_rk4(dev, seqs)).max() < 1e-12
+
+    def test_star_centre_sees_eight_classes(self):
+        # the centre's Z rate takes one value per bit pattern of its three
+        # neighbours; each leaf sees two
+        dev = random_device(QubitGraph(4, ((0, 1), (0, 2), (0, 3))), seed=12)
+        seqs = colour_schedules(dev, cr_dd("XY4", tau_p=dev.tau_p, shape=DRAG))
+        spans = _compile_cycle(dev, seqs, 256, hamiltonian_diagonal(dev))
+        sizes = {q: len(turns) for span in spans if span[0] == "factored"
+                 for q, _, turns in span[4]}
+        assert sizes == {0: 8, 1: 2, 2: 2, 3: 2}
+        assert np.abs(cycle_propagator(dev, seqs) - lab_frame_rk4(dev, seqs)).max() < 1e-12
+
+    def test_transverse_field_on_a_pulsers_neighbour_falls_back(self, monkeypatch):
+        # qubit 1's X/Y field joins P whenever its neighbours 0 and 2 pulse,
+        # so those four pieces (one key) run RK4; where qubit 1 pulses, its
+        # neighbours carry no transverse field and the pieces are factored
+        dev = random_device(QubitGraph.path(3), seed=13, transverse=(1,))
+        seqs = colour_schedules(dev, cr_dd("XY4", tau_p=dev.tau_p, shape=DRAG))
+        assert span_kinds(dev, seqs) == {"rk4": 4, "factored": 4}
+        calls = count_rk4_calls(monkeypatch)
+        u = cycle_propagator(dev, seqs)
+        assert calls == [(8, 8)]
+        monkeypatch.undo()
+        assert np.abs(u - lab_frame_rk4(dev, seqs)).max() < 1e-12
+
+    @pytest.mark.parametrize("blue", [None, "UR12"])
+    def test_unitarity(self, blue):
+        dev = DeviceModel.default(n=4)
+        seqs = colour_schedules(dev, cr_dd("XY4", blue, tau_p=dev.tau_p, shape=DRAG))
+        assert span_kinds(dev, seqs)["rk4"] == 0
+        u = cycle_propagator(dev, seqs)
+        assert np.abs(u.conj().T @ u - np.eye(16)).max() < 1e-13
 
 
 class TestSharedSquarePropagators:

@@ -462,6 +462,23 @@ class TestFactoredPropagation:
         monkeypatch.undo()
         assert np.abs(u - lab_frame_rk4(dev, seqs)).max() < 1e-12
 
+    @pytest.mark.parametrize("graph,transverse,third", [
+        (QubitGraph.path(3), (), SQUARE), (QubitGraph(3, ((0, 1),)), (2,), None)],
+        ids=["square_pulser", "fielded_idler"])
+    def test_constant_rate_members_turn_in_one_step(self, graph, transverse, third):
+        # a DRAG pulse on qubit 0 beside a square pulse on qubit 2, or beside
+        # an idle qubit 2 with a transverse field: qubit 2 is in P at a
+        # constant rate, so its turn is one exact CF4 step
+        dev = random_device(graph, seed=14, transverse=transverse)
+        tp = dev.tau_p
+        idle = Sequence((Segment.delay(2 * tp),))
+        seqs = [Sequence((Segment.for_pulse(0.4, tp, DRAG), Segment.delay(tp))), idle,
+                Sequence((Segment.for_pulse(1.3, tp, third), Segment.delay(tp))) if third
+                else idle]
+        assert span_kinds(dev, seqs)["factored"] == 1
+        u = cycle_propagator(dev, seqs, samples_per_pulse=1024)
+        assert np.abs(u - lab_frame_rk4(dev, seqs, 2048)).max() < 1e-12
+
     @pytest.mark.parametrize("blue", [None, "UR12"])
     def test_unitarity(self, blue):
         dev = DeviceModel.default(n=4)

@@ -15,8 +15,9 @@
     recording the unitary after every step (it runs inside shaped pulses
     only).  Steps with all-zero coefficients copy the node exactly; steps
     with only a (cx, cy) pair realize instantaneous rotations.  The prefix
-    products are formed as unit quaternions by a work-efficient log-depth
-    scan (Blelloch 1990).
+    products are formed as quaternions by a work-efficient log-depth scan
+    (Blelloch 1990) and divided by their norm, so a long chain stays unitary
+    to rounding whatever its step count.
 
 ``turns``
     Closed-form turns ``exp(-i a/2 (cos(phase) X + sin(phase) Y))``.
@@ -30,14 +31,10 @@
 
 ``rk4_evolve``
     Fixed-step RK4 for ``dpsi/dt = -i H(t) psi`` with the same H, its
-    transverse coefficients varying in time; ``sim`` runs it only on shaped
-    pieces where two adjacent qubits drive together.  Transverse
-    coefficients are sampled per step at (start, midpoint, end) so segment
-    boundaries stay one-sided.  A call that propagates at least ``dim`` columns
-    (``ncol * reps >= dim``) with ``dim <= 32`` builds the RK4 transfer
-    matrix of every step, in chunks of one identity per step laid side by
-    side, composes them by a pairwise ordered product and applies the result;
-    any other call steps its columns matrix-free, one step at a time.
+    transverse coefficients varying in time and sampled per step at (start,
+    midpoint, end) so segment boundaries stay one-sided.  Where ``sim`` runs
+    it, and which of its two paths (transfer product or matrix-free steps)
+    a call takes, is stated once in the ``sim`` module docstring.
 
 ``IntegrationError`` is the one error both engines raise when a propagated
 state or unitary loses its norm beyond tolerance.
@@ -138,9 +135,13 @@ def su2_chain(cx, cy, dx, dy, out, z=0.0):
     moving = (cx != 0.0) | (cy != 0.0) | (dx != 0.0) | (dy != 0.0) | (z != 0.0)
     steps = _quat_mul(_rotation_quat(dx[moving], dy[moving], z),
                       _rotation_quat(cx[moving], cy[moving], z))
+    prefix = _prefix_products(steps)
+    # every prefix is a product of unit quaternions; dividing by its norm
+    # keeps the scan's rounding from growing with the step count
+    prefix /= np.linalg.norm(prefix, axis=0)
     # column k is the product of the first k moving steps; a zero step
     # reuses the column of the last moving step, so its node is copied exactly
-    prefix = np.concatenate(([[1.0], [0.0], [0.0], [0.0]], _prefix_products(steps)), axis=1)
+    prefix = np.concatenate(([[1.0], [0.0], [0.0], [0.0]], prefix), axis=1)
     w, x, y, z = prefix[:, np.cumsum(moving)]
     u = np.empty((w.shape[0], 2, 2), dtype=np.complex128)
     u.real[:, 0, 0], u.imag[:, 0, 0] = w, -z
@@ -204,10 +205,10 @@ def expm_action(psi, ax, ay, diag, t, nq):
     return psi
 
 
-# Transfer matrices pay off up to dim 32: for one CR-XY4 DRAG cycle
+# Transfer matrices pay off up to dim 32: for one SIM-XY4-2 DRAG cycle
 # propagator (default device) at chunks of 2**12 amplitudes, on 2 cores with
-# numpy 2.4, the step loop and the product took 0.33 s and 0.07 s at n = 4,
-# 0.61 s and 0.38 s at n = 5, but 1.62 s and 2.06 s at n = 6.  A chunk holds
+# numpy 2.4, the product and the step loop took 0.08 s and 0.47 s at n = 4,
+# 0.38 s and 0.55 s at n = 5, but 3.1 s and 1.6 s at n = 6.  A chunk holds
 # 2**12 // dim**2 steps, so each of its arrays stays at 64 KiB.
 _RK4_PRODUCT_MAX_DIM = 32
 _RK4_CHUNK_AMPLITUDES = 1 << 12
@@ -256,7 +257,7 @@ def rk4_evolve(psi, ax, ay, diag, h, reps):
     (nsteps, 3, nq) on ``psi`` (dim, ncol), in place."""
     nq = ax.shape[2]
     dim = psi.shape[0]
-    if dim <= _RK4_PRODUCT_MAX_DIM and psi.shape[1] * reps >= dim:
+    if dim <= _RK4_PRODUCT_MAX_DIM:
         u = np.linalg.matrix_power(_rk4_transfer(ax, ay, diag, h, nq), reps)
         psi[...] = u @ psi
         return

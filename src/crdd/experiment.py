@@ -445,13 +445,17 @@ def mean_by_duration(rows):
 
 
 def fit_dataset(rows):
-    """Fit the state-averaged survival trace per (method, embedding)."""
+    """Fit the state-averaged survival trace per (method, embedding); a
+    trace ``fit_decay`` refuses raises ValueError naming both."""
     groups = {}
     for r in rows:
         groups.setdefault((r["method"], r["embedding_id"]), []).append(r)
     out = []
     for (method, emb), items in sorted(groups.items()):
-        fit = fit_decay(list(zip(*mean_by_duration(items))))
+        try:
+            fit = fit_decay(list(zip(*mean_by_duration(items))))
+        except ValueError as exc:
+            raise ValueError(f"{method} on embedding {emb}: {exc}") from exc
         out.append(FitRow(method, emb, fit.A, fit.gamma, fit.c,
                           fit.tau_gamma, fit.rss, fit.flag))
     return out

@@ -52,9 +52,6 @@ class FitResult:
     def tau_gamma(self):
         return math.inf if self.gamma == 0.0 else 1.0 / self.gamma
 
-    def predict(self, t):
-        return self.A * np.exp(-self.gamma * np.asarray(t, dtype=float)) + self.c
-
 
 def _as_arrays(points):
     """t and p of a trace given as ``(t, p)`` rows, shape (n, 2).
@@ -166,13 +163,11 @@ class BootstrapCI:
         if not self.lower <= self.upper:
             raise ValueError("bootstrap interval needs lower <= upper")
 
-    def covers(self, value):
-        return self.lower <= value <= self.upper
-
 
 def bootstrap_mean_ci(samples, resamples=10000, level=0.95, seed=0):
     """Percentile bootstrap of the mean with replacement, deterministic for a
-    given seed.  Needs an integer ``resamples`` >= 1 and ``level`` in (0, 1)."""
+    given seed.  Needs an integer ``resamples`` >= 1, ``level`` in (0, 1)
+    and at least 2 samples, all finite."""
     if (not isinstance(resamples, numbers.Integral) or isinstance(resamples, bool)
             or resamples < 1):
         raise ValueError(f"resamples must be an integer >= 1, got {resamples!r}")
@@ -181,6 +176,8 @@ def bootstrap_mean_ci(samples, resamples=10000, level=0.95, seed=0):
     x = np.asarray(list(samples), dtype=float)
     if x.size < 2:
         raise ValueError("need at least 2 samples")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite (no NaN or inf)")
     rng = np.random.default_rng(seed)
     chunk = max(1, 2 ** 22 // x.size)  # resamples drawn per batch, for bounded memory
     means = np.concatenate([

@@ -4,23 +4,33 @@ static 1-local fields, with shot-sampled survival probabilities.
 The Hamiltonian H(t) = H_C(t) + H_err is never stored as a matrix: transverse
 drive and 1-local X/Y terms act qubit-wise, while the Z and ZZ sector enters
 through a precomputed diagonal.  A cycle is cut at every segment edge, with
-the step counts, offsets and phase-0 keys of ``sequences._common_cut``.
-Where every qubit sits in a delay or a square pulse, H is constant on the
-cut interval and its propagator is applied exactly (a phase when H is
-diagonal, else a scaled Taylor series).  Inside shaped envelopes, let P be
-the qubits that pulse or carry a static X/Y field.  Where no edge joins two
-qubits of P, as on every piece of a CR stagger, each other qubit's Z
-commutes with H, so the interval is a diagonal phase times one SU(2) turn
-per qubit of P, chosen by its neighbours' bits: the CF4 chain ``control``
-builds (``_kernels.cf4_chain``) with the constant Z rate those bits set, at
-the cut's step counts.  RK4 remains only where two adjacent qubits of P
-drive together (SIM cycles, mid-pulse overlaps, a transverse field next to
-a pulsing qubit): fixed steps with drive coefficients sampled one-sidedly
-per step at offsets into each segment, so envelopes never leak across
-segment boundaries; RK4 on enough columns of a small system composes the
-transfer matrices of its steps (see ``evolve``).  An ideal pulse idles
-through its slot and turns instantly, by an exact rotation, at the slot's
-midpoint.
+the step counts, offsets and phase-0 keys of ``sequences._common_cut``, and
+every interval of the cut takes one of two forms.  Let P be the qubits that
+pulse or carry a static X/Y field.
+
+* Per-qubit turns after a diagonal phase, where H is shaped (gaussian or
+  DRAG) and no edge joins two qubits of P, as on every piece of a CR
+  stagger.  Every other qubit's Z commutes with H, so the interval is the
+  diagonal phase of the Z/ZZ terms outside P times one SU(2) turn per qubit
+  of P, chosen by its neighbours' bits and gathered per basis state (O(dim)
+  per qubit and column): the CF4 chain ``control`` builds
+  (``_kernels.cf4_chain``) with the constant Z rate those bits set, at the
+  cut's step counts, conjugated to its pulse's phase.  An ideal pulse idles
+  through its slot and turns instantly at the slot's midpoint: the same form
+  at zero length, with a unit phase and one neighbour class per turning
+  qubit, the closed-form ``_kernels.turns`` at its pulse's phase.
+* A keyed dense propagator in its drive frame, everywhere else.  Where
+  every qubit sits in a delay or a square pulse, H is constant and the
+  propagator is exact (a phase when H is diagonal, else a scaled Taylor
+  series).  Where two adjacent qubits of P drive together (SIM cycles,
+  mid-pulse overlaps, a transverse field next to a pulsing qubit), it takes
+  fixed RK4 steps with drive coefficients sampled one-sidedly per step at
+  offsets into each segment, so envelopes never leak across segment
+  boundaries.  ``_kernels.rk4_evolve`` picks its path from the dimension
+  alone: up to dim 32 (``_kernels._RK4_PRODUCT_MAX_DIM``) it composes the
+  RK4 transfer matrices of its steps by a pairwise ordered product, in
+  chunks of at most 2**12 amplitudes, and applies the result to however
+  many columns it is given; above that it steps the columns matrix-free.
 
 Pulsed intervals, square or shaped, that differ only in the drive phases of
 their pulses share one propagator, keyed by their pulsing qubits' keys: a
@@ -28,11 +38,11 @@ pulse of phase phi on qubit q is the phase-0 pulse conjugated by
 exp(-i phi Z_q / 2), and that rotation commutes with the Z/ZZ diagonal (the
 virtual-Z identity, McKay et al., PRA 96, 022330 (2017)).  A pulsing
 qubit's static X/Y field is turned by -phi into the same frame and joins
-the key.  A factored interval conjugates each qubit's turns by its phase;
-every other interval is applied as D P D^dag, D that diagonal rotation
-and P its phase-0 propagator: built once on the identity and reused
-wherever that is cheaper than propagating every occurrence, else propagated
-on the rotated columns.  Delay-only intervals run unkeyed with D = 1.
+the key.  Each dense interval is applied as D P D^dag, D that diagonal
+rotation and P its phase-0 propagator: built once on the identity and
+reused wherever that is cheaper than propagating every occurrence (see
+``evolve``), else propagated on the rotated columns.  Delay-only intervals
+run unkeyed with D = 1.
 
 Statevector dimension is capped at n = 14 qubits (dense representation).
 """
@@ -311,24 +321,20 @@ _NORM_TOL = 1e-9
 
 
 def _compile_cycle(device, schedules, samples_per_pulse, diag):
-    """One cycle as time-ordered spans ``(kind, key, phis, ...)``:
+    """One cycle as time-ordered spans ``(kind, key, phis, ...)``, in the two
+    forms of the module docstring:
 
-    * ``("rot", None, None, [(q, phase, angle), ...])``: ideal turns, each at
-      its slot's midpoint (the slot's parts are keyed None, as delays are);
-    * ``("exact", key, phis, t, ax, ay)``: every qubit sits in a delay or a
-      square pulse, so H is constant with rates ``ax, ay`` (n,) for ``t``;
-    * ``("factored", None, None, phase, [(q, classes, turns), ...])``: a
-      shaped envelope where no edge joins two qubits of P, the qubits that
-      pulse or carry a static X/Y field.  Every other qubit's Z commutes
-      with H, so the propagator is the diagonal ``phase`` (dim,) of the Z/ZZ
-      terms outside P times one SU(2) turn per q in P, set by its
-      neighbours' bits: ``turns[c]`` is the CF4 endpoint of q's drive plus
-      the c-th distinct value of its Z rate ``b_q^z + sum_{p~q} J_qp z_p``,
-      and ``classes`` (2**q, 2**(n-q-1)) holds ``c`` for every pair of basis
-      states q turns, in ``_apply_single_qubit``'s layout;
-    * ``("rk4", key, phis, h, ax, ay)``: a shaped envelope where two adjacent
-      qubits of P drive together, in RK4 steps ``h`` with rates (nsteps, 3,
-      n) at each step's start, midpoint and end.
+    * ``("factored", None, None, phase, [(q, classes, turns), ...])``: the
+      diagonal ``phase`` (dim,), then each listed qubit's turns ``turns[c]``,
+      ``c`` the index of the distinct value of its Z rate ``b_q^z +
+      sum_{p~q} J_qp z_p``.  ``classes`` holds ``c`` for every pair of basis
+      states q turns, (2**q, 2**(n-q-1)) in ``_apply_single_qubit``'s
+      layout; ideal turns have a unit phase and ``classes`` (1, 1).  The
+      turns are already conjugated to their pulses' phases;
+    * ``("exact", key, phis, t, ax, ay)``: H constant with rates ``ax, ay``
+      (n,) for ``t``;
+    * ``("rk4", key, phis, h, ax, ay)``: RK4 steps ``h`` with rates
+      (nsteps, 3, n) at each step's start, midpoint and end.
 
     An interval in which some qubit pulses, square or shaped, is keyed by
     ``(q, key, fx + i fy)`` of each pulsing qubit, ``key`` its part's
@@ -337,11 +343,9 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
     ``(bx cos phi + by sin phi, by cos phi - bx sin phi)``.  Its rates are
     the phase-0 pulses' plus the turned fields, sampled once per key, and
     ``phis`` (n,) holds each pulsing qubit's drive phase (0 elsewhere): its
-    propagator is the key's conjugated by ``exp(-i/2 sum_q phis_q Z_q)``,
-    exact because that rotation is constant over the interval and commutes
-    with the Z/ZZ diagonal.  A factored span carries its turns already so
-    conjugated, as ``control.propagate`` turns a pulse to its phase.  A
-    delay-only interval is keyed None with ``phis`` 0.
+    propagator is the key's conjugated by ``exp(-i/2 sum_q phis_q Z_q)``.
+    A delay-only interval, an ideal pulse's slot included, is keyed None
+    with ``phis`` 0.
     """
     n = device.n
     _check_capacity(n)
@@ -417,8 +421,9 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
     spans_out = []
     for i, lo in enumerate(edges):
         if i in events:
-            spans_out.append(("rot", None, None,
-                              [(q, p.phase, p.flip_angle) for q, p in events[i]]))
+            spans_out.append(("factored", None, None, np.ones(1 << n), [
+                (q, np.zeros((1, 1), dtype=int), _kernels.turns(p.phase, p.flip_angle))
+                for q, p in events[i]]))
         if i == len(pieces):
             break
         nst, parts = pieces[i]
@@ -461,10 +466,6 @@ def _run_cycle(spans, psi, diag, zsign, shared):
     nq, dim = zsign.shape
     for span in spans:
         kind, key, phis = span[:3]
-        if kind == "rot":
-            for (q, phase, angle) in span[3]:
-                psi = _apply_single_qubit(psi, _kernels.turns(phase, angle)[0], q, nq)
-            continue
         if kind == "factored":
             flat = span[3][:, None] * psi.reshape(dim, -1)
             for q, classes, turns in span[4]:
@@ -482,26 +483,14 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256):
     """Propagate a statevector (or propagator columns) through ``repetitions``
     cycles of the per-qubit schedules.
 
-    Every interval of the cut is applied as a phase-0 propagator conjugated
-    by the diagonal ``exp(-i/2 sum_q phis_q Z_q)`` of its drive phases (see
-    ``_compile_cycle``).  Where every qubit sits in a delay or a square pulse
-    H is constant and the interval is propagated exactly.  Inside a shaped
-    (gaussian or DRAG) envelope where no two adjacent qubits pulse or carry
-    a static X/Y field, as on every CR piece, the interval is factored: a
-    diagonal phase, then one CF4 SU(2) turn per such qubit gathered by each
-    basis state's neighbour class, O(dim) per qubit and column, the same for
-    a statevector as for a propagator.  Only where two adjacent qubits drive
-    together does it take fixed RK4 steps.  ``samples_per_pulse`` per
-    longest pulse set the CF4 step and the coarsest RK4 step.  An RK4
-    interval applied to at least ``dim`` columns with ``dim <= 32`` is the
-    ordered product of its steps' RK4 transfer matrices, built in chunks of
-    at most 2**12 amplitudes; otherwise the columns step matrix-free.  A key
-    of an exact or RK4 interval used ``uses`` times over all repetitions is
-    propagated once, on the identity, when that costs no more than
-    propagating each use directly (``dim <= ncol * uses``, ``ncol`` the
-    number of columns of ``psi0``), and then holds one dim x dim array for
-    the whole call; a statevector builds one only for a key it would
-    otherwise propagate at least ``dim`` times.
+    Each interval takes one of the two forms of the module docstring;
+    ``samples_per_pulse`` per longest pulse set the CF4 step and the
+    coarsest RK4 step.  A key of a dense interval used ``uses`` times over
+    all repetitions is propagated once, on the identity, when that costs no
+    more than propagating each use directly (``dim <= ncol * uses``,
+    ``ncol`` the number of columns of ``psi0``), and then holds one dim x dim
+    array for the whole call; a statevector builds one only for a key it
+    would otherwise propagate at least ``dim`` times.
     Raises IntegrationError when a column norm drifts beyond 1e-9
     (``_NORM_TOL``) or turns NaN, and ValueError for ``repetitions`` that is
     not an integer >= 0, for ``samples_per_pulse`` that is not an integer
@@ -538,12 +527,10 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256):
 
 def cycle_propagator(device, schedules, samples_per_pulse=256):
     """One-cycle propagator matrix U(tau_c): the columns of the identity
-    evolved together by ``evolve``, exactly wherever H is piecewise constant.
-    Shaped CR pieces are factored into per-qubit CF4 turns; RK4 remains only
-    where adjacent qubits drive together.  With ``dim`` columns every keyed
-    exact or RK4 interval meets the sharing rule, so each distinct one is
-    propagated once per call and its phase variants are diagonal
-    conjugations of it."""
+    evolved together by ``evolve``, through the two interval forms of the
+    module docstring.  With ``dim`` columns every keyed dense interval meets
+    the sharing rule, so each distinct one is propagated once per call and
+    its phase variants are diagonal conjugations of it."""
     dim = 1 << device.n
     eye = np.eye(dim, dtype=complex)
     return evolve(device, schedules, repetitions=1, psi0=eye,

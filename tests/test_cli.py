@@ -306,6 +306,17 @@ class TestSimFitSummarizeReport:
         assert run("fit", "--in", str(results), "--out", str(fits)) == 0
         assert "degenerate" in fits.read_text()
 
+    def test_fit_names_the_trace_it_cannot_fit(self, tmp_path, capsys):
+        # 8 target pulses leave each trace fewer than the 4 points a fit needs
+        plan = tiny_plan_json(tmp_path, target_pulses=8)
+        results, fits = tmp_path / "results.csv", tmp_path / "fits.csv"
+        assert run("sim", "run", "--plan", str(plan), "--seed", "1",
+                   "--out", str(results)) == 0
+        assert run("fit", "--in", str(results), "--out", str(fits)) == 2
+        assert ("error: CR-XY4 on embedding 0-1: need at least 4 points"
+                in capsys.readouterr().err)
+        assert not fits.exists()
+
     @pytest.mark.parametrize("verb", ["fit", "report"])
     def test_short_results_row_exits_2(self, tmp_path, capsys, verb):
         results = tmp_path / "results.csv"

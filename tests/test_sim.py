@@ -488,6 +488,49 @@ class TestFactoredPropagation:
         assert np.abs(u.conj().T @ u - np.eye(16)).max() < 1e-13
 
 
+def dense_ideal_cycle(dev, seqs):
+    """An ideal cycle as dense matrix exponentials of the static H over the
+    time between turns, times the dense turn of each ideal pulse at its
+    slot's midpoint, each pulse at its real phase."""
+    n = dev.n
+    turns = []
+    for q, seq in enumerate(seqs):
+        t = 0.0
+        for s in seq.segments:
+            if s.kind == "pulse":
+                p = s.pulse
+                axis = math.cos(p.phase) * np.array([[0, 1], [1, 0]]) + math.sin(p.phase) * (
+                    np.array([[0, -1j], [1j, 0]]))
+                op = np.kron(np.kron(np.eye(1 << q), expm(-0.5j * p.flip_angle * axis)),
+                             np.eye(1 << (n - q - 1)))
+                turns.append((t + s.duration / 2, op))
+            t += s.duration
+    h = dense_hamiltonian(dev, np.zeros((n, 2)))
+    u, now = np.eye(1 << n, dtype=complex), 0.0
+    for t, op in sorted(turns, key=lambda turn: turn[0]):
+        u = op @ expm(-1j * h * (t - now)) @ u
+        now = t
+    return expm(-1j * h * (seqs[0].duration - now)) @ u
+
+
+class TestIdealCycles:
+    # an ideal turn is a factored interval of zero length: a unit phase and
+    # one class per turning qubit
+    @pytest.mark.parametrize("method", ["SIM-XY4-2", "CR-(XY4,UR12)"])
+    def test_matches_dense_oracle(self, method):
+        dev = random_device(QubitGraph.path(3), seed=15, transverse=(0, 1, 2))
+        if method == "SIM-XY4-2":
+            seqs = [sim_dd("XY4", 2, dev.tau_p, IDEAL)] * 3
+        else:
+            seqs = colour_schedules(dev, cr_dd("XY4", "UR12", tau_p=dev.tau_p, shape=IDEAL))
+        assert set(span_kinds(dev, seqs)) == {"exact", "factored"}
+        u = cycle_propagator(dev, seqs)
+        assert np.abs(u - dense_ideal_cycle(dev, seqs)).max() < 1e-12
+        for k in (0, 5):
+            psi = evolve(dev, seqs, psi0=np.eye(8, dtype=complex)[:, k])
+            assert np.abs(psi - u[:, k]).max() < 1e-12
+
+
 class TestSharedSquarePropagators:
     def test_square_cr_cycle_propagates_each_key_once(self, monkeypatch):
         # the four red and four blue square pulses of CR-XY4 are one key per

@@ -78,14 +78,24 @@ def _make_shape(args):
     return PulseShape(kind, sigma=args.sigma, drag_coefficient=args.drag_coefficient)
 
 
-def _check_k(k):
-    if k < 1:
-        raise ValueError(f"--k must be >= 1, got {k}")
+# the bound each numeric flag must meet, wherever a verb takes it
+_BOUNDS = {
+    "k": (lambda v: v >= 1, ">= 1"),
+    "tau_p": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    "tau_d": (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+    "samples": (lambda v: v >= 16, ">= 16"),
+    "tol": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+}
 
 
-def _check_tau_p(tau_p):
-    if not (math.isfinite(tau_p) and tau_p > 0):
-        raise ValueError(f"--tau-p must be finite and > 0, got {tau_p}")
+def _parse(p, rest):
+    """A verb's flags; a numeric one outside its bound is refused by name."""
+    args = p.parse_args(rest)
+    for name, (ok, rule) in _BOUNDS.items():
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be {rule}, got {value}")
+    return args
 
 
 def _load_target(args):
@@ -100,7 +110,7 @@ def _color_trace(verb, rest, tol=None):
     target (its --color, for a schedule)."""
     p = _parser(verb, target=True, tol=tol)
     p.add_argument("--color", default="red", choices=["red", "blue"])
-    args = p.parse_args(rest)
+    args = _parse(p, rest)
     seq = _load_target(args)
     if isinstance(seq, ColoredSchedule):
         seq = seq.red if args.color == "red" else seq.blue
@@ -110,7 +120,7 @@ def _color_trace(verb, rest, tol=None):
 def _chi_report(verb, rest, out):
     """Parse a chi verb's flags, verify the target to first order and write
     the chi CSV when --out is given; return the flags and the report."""
-    args = _parser(verb, out=out, target=True, tol=1e-8).parse_args(rest)
+    args = _parse(_parser(verb, out=out, target=True, tol=1e-8), rest)
     rep = control.verify_first_order(_load_target(args),
                                      samples_per_pulse=args.samples, tol=args.tol)
     if args.out is not None:
@@ -127,8 +137,7 @@ def _cmd_seq_build(verb, rest):
     p = _parser(verb, shape=True)
     p.add_argument("--name", required=True)
     p.add_argument("--tau-p", type=float, required=True)
-    args = p.parse_args(rest)
-    _check_tau_p(args.tau_p)
+    args = _parse(p, rest)
     seq = build_named(args.name, args.tau_p, _make_shape(args))
     _write_text(args.out, seq.to_json(indent=2) + "\n", args.force)
     print(f"wrote {args.out}: {seq.pulse_count} pulses, cycle {seq.duration:.6g} s")
@@ -141,9 +150,7 @@ def _cmd_seq_stagger(verb, rest):
     p.add_argument("--tau-p", type=float, required=True)
     p.add_argument("--k", type=int, default=1, help="padding multiple (tau_d=(k-1)tau_p)")
     p.add_argument("--mode", default="symmetric", choices=["symmetric", "asymmetric"])
-    args = p.parse_args(rest)
-    _check_tau_p(args.tau_p)
-    _check_k(args.k)
+    args = _parse(p, rest)
     sched = cr_dd(args.red, args.blue, tau_p=args.tau_p, shape=_make_shape(args),
                   k=args.k, mode=args.mode)
     _write_text(args.out, sched.to_json(indent=2) + "\n", args.force)
@@ -157,14 +164,11 @@ def _cmd_seq_pad(verb, rest):
     g.add_argument("--tau-d", type=float)
     g.add_argument("--k", type=int)
     p.add_argument("--mode", default="symmetric", choices=["symmetric", "asymmetric"])
-    args = p.parse_args(rest)
+    args = _parse(p, rest)
     sched = _read_json(ColoredSchedule, args.schedule)
     # every pulse, ideal ones included (they turn mid-slot), lasts tau_p; pad
     # refuses a schedule whose pulses do not fill its stagger slots
-    tau_d = args.tau_d
-    if tau_d is None:
-        _check_k(args.k)
-        tau_d = (args.k - 1) * sched.red.pulse_duration
+    tau_d = args.tau_d if args.k is None else (args.k - 1) * sched.red.pulse_duration
     padded = pad(sched, tau_d, args.mode)
     _write_text(args.out, padded.to_json(indent=2) + "\n", args.force)
     print(f"wrote {args.out}: cycle {padded.duration:.6g} s")
@@ -205,7 +209,7 @@ def _cmd_sim_run(verb, rest):
     p.add_argument("--plan", required=True,
                    help="plan JSON path, or 'default' for the built-in demonstration")
     p.add_argument("--seed", type=int, required=True)
-    args = p.parse_args(rest)
+    args = _parse(p, rest)
     if args.plan == "default":
         plan = default_plan(seed=args.seed)
     else:
@@ -221,7 +225,7 @@ def _cmd_sim_run(verb, rest):
 def _cmd_fit(verb, rest):
     p = _parser(verb)
     p.add_argument("--in", dest="inp", required=True)
-    args = p.parse_args(rest)
+    args = _parse(p, rest)
     rows = read_results_csv(args.inp)
     fits = fit_dataset(rows)
     _guard_output(args.out, args.force)
@@ -233,7 +237,7 @@ def _cmd_fit(verb, rest):
 def _cmd_summarize(verb, rest):
     p = _parser(verb)
     p.add_argument("--fits", required=True)
-    args = p.parse_args(rest)
+    args = _parse(p, rest)
     table = summarize(read_fits_csv(args.fits))
     _guard_output(args.out, args.force)
     table.to_csv(args.out)
@@ -246,7 +250,7 @@ def _cmd_report(verb, rest):
     p.add_argument("--fits")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--log-y", action="store_true")
-    args = p.parse_args(rest)
+    args = _parse(p, rest)
     rows = read_results_csv(args.results)
     os.makedirs(args.out_dir, exist_ok=True)
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fitting import fit_decay
-from .sequences import (PulseShape, _csv_writer, _is_integer, _write_csv, canonical_name,
-                        cr_dd, sim_dd)
+from .sequences import (_MERGE_RTOL, PulseShape, _csv_writer, _is_integer, _write_csv,
+                        canonical_name, cr_dd, sim_dd)
 from .sim import (POLES, DeviceModel, SurvivalPoint, SurvivalRecord, idle_schedule,
                   cycle_propagator, prepare_states, product_state, sample_survival,
                   shot_rng, survival_probability)
@@ -137,9 +137,8 @@ def schedule_points(methods, target_pulses, spacing="linear", max_points=16):
         out[label] = pts
     idle_durations = []
     for d in sorted({d for pts in out.values() for (_, d, _) in pts}):
-        # wall times of different cycles that meet within 1e-12 relative
-        # (the cut's tolerance) are one duration, kept at the earliest
-        if not idle_durations or d - idle_durations[-1] > 1e-12 * d:
+        # wall times of different cycles this close are one, kept at the earliest
+        if not idle_durations or d - idle_durations[-1] > _MERGE_RTOL * d:
             idle_durations.append(d)
     for label, (ppc, _) in methods.items():
         if ppc == 0:

@@ -78,15 +78,7 @@ def _frame(parts, ax, title, xlabel, ylabel):
     parts.append(f'<text x="20" y="{(_MT + _H - _MB) // 2}" text-anchor="middle" '
                  f'font-size="13" transform="rotate(-90 20 {(_MT + _H - _MB) // 2})">'
                  f'{ylabel}</text>')
-    xticks = _ticks(ax.xlo, ax.xhi)
-    yticks = _log_ticks(ax.ylo, ax.yhi) if ax.log_y else _ticks(ax.ylo, ax.yhi)
-    for v in xticks:
-        px = ax.x(v)
-        parts.append(f'<line x1="{_fmt(px)}" y1="{_H - _MB}" x2="{_fmt(px)}" '
-                     f'y2="{_H - _MB + 5}" stroke="#333"/>')
-        parts.append(f'<text x="{_fmt(px)}" y="{_H - _MB + 19}" text-anchor="middle" '
-                     f'font-size="11">{_tick_label(v)}</text>')
-    for v in yticks:
+    for v in _log_ticks(ax.ylo, ax.yhi) if ax.log_y else _ticks(ax.ylo, ax.yhi):
         py = ax.y(v)
         parts.append(f'<line x1="{_ML - 5}" y1="{_fmt(py)}" x2="{_ML}" '
                      f'y2="{_fmt(py)}" stroke="#333"/>')
@@ -109,6 +101,13 @@ def svg_line_plot(series, title="", xlabel="", ylabel="", log_y=False):
     ax = _Axes(min(xs_all), max(xs_all), *_y_range(ys_all, log_y), log_y)
     parts = []
     _frame(parts, ax, title, xlabel, ylabel)
+    # numeric x ticks here only: a box plot's bottom axis holds its group labels
+    for v in _ticks(ax.xlo, ax.xhi):
+        px = ax.x(v)
+        parts.append(f'<line x1="{_fmt(px)}" y1="{_H - _MB}" x2="{_fmt(px)}" '
+                     f'y2="{_H - _MB + 5}" stroke="#333"/>')
+        parts.append(f'<text x="{_fmt(px)}" y="{_H - _MB + 19}" text-anchor="middle" '
+                     f'font-size="11">{_tick_label(v)}</text>')
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(f"{_fmt(ax.x(x))},{_fmt(ax.y(y))}" for x, y in zip(xs, ys))

@@ -38,6 +38,8 @@ __all__ = [
 
 DEFAULT_DRAG_COEFFICIENT = 0.1
 _SHAPE_KINDS = ("ideal", "square", "gaussian", "gaussian_drag")
+# relative gap below which two times are one: cut edges and IDLE wall times
+_MERGE_RTOL = 1e-12
 
 
 class CatalogError(ValueError):
@@ -302,8 +304,8 @@ def _common_cut(sequences, samples_per_pulse):
     one plan of step counts, offsets and phase-0 keys ``control`` and ``sim`` read.
 
     Returns ``(edges, pieces, events)``.  ``edges`` are the cut times from 0
-    to the common duration; edges closer than ``tol = 1e-12`` times the
-    duration merge into the earliest.  ``pieces[i] = (n, parts)`` steps
+    to the common duration; edges closer than ``tol = _MERGE_RTOL`` times
+    the duration merge into the earliest.  ``pieces[i] = (n, parts)`` steps
     ``[edges[i], edges[i + 1]]`` in ``n = 2 max(1, round(length / 2h))``, with
     ``h`` the longest pulse (else the shortest segment) over
     ``samples_per_pulse``; ``parts`` holds per sequence ``(segment, lo, hi,
@@ -323,7 +325,7 @@ def _common_cut(sequences, samples_per_pulse):
     duration = sequences[0].duration
     if any(s.duration != duration for s in sequences):
         raise ValueError(f"sequence durations differ: {sorted({s.duration for s in sequences})}")
-    tol = 1e-12 * duration
+    tol = _MERGE_RTOL * duration
     spans, instants, cuts = [], [], {0.0, duration}
     for q, seq in enumerate(sequences):
         own, t = [], 0.0
@@ -659,11 +661,12 @@ def cr_dd(name_r, name_b=None, *, tau_p, shape, k=1, mode="symmetric"):
 def pad(schedule, tau_d, mode):
     """Insert extra delay tau_d around each pulse, symmetrically or
     asymmetrically, preserving the stagger.  Cycle duration becomes
-    2 L (tau_p + tau_d).  Raises ValueError unless ``schedule`` is the
-    unpadded stagger of its phases, stagger delay and first pulse shape."""
+    2 L (tau_p + tau_d).  Raises ValueError unless ``tau_d`` is finite and
+    >= 0 and ``schedule`` is the unpadded stagger of its phases, stagger
+    delay and first pulse shape."""
     suffix = _pad_suffix(mode)
-    if tau_d < 0:
-        raise ValueError("tau_d must be >= 0")
+    if not (math.isfinite(tau_d) and tau_d >= 0):
+        raise ValueError(f"tau_d must be finite and >= 0, got {tau_d}")
     red, blue = schedule.red, schedule.blue
     # the stagger delay opens every unpadded red slot
     tau_p = red.segments[0].duration

@@ -5,8 +5,8 @@ The Hamiltonian H(t) = H_C(t) + H_err is never stored as a matrix: transverse
 drive and 1-local X/Y terms act qubit-wise, while the Z and ZZ sector enters
 through a precomputed diagonal.  A cycle is cut at every segment edge, with
 the step counts, offsets and phase-0 keys of ``sequences._common_cut``, and
-every interval of the cut takes one of two forms.  Let P be the qubits that
-pulse or carry a static X/Y field.
+every interval of the cut is compiled at phase 0 in one of two forms.  Let P
+be the qubits that pulse or carry a static X/Y field.
 
 * Per-qubit turns after a diagonal phase, where H is shaped (gaussian or
   DRAG) and no edge joins two qubits of P, as on every piece of a CR
@@ -15,34 +15,35 @@ pulse or carry a static X/Y field.
   of P, chosen by its neighbours' bits and gathered per basis state (O(dim)
   per qubit and column): the CF4 chain ``control`` builds
   (``_kernels.cf4_chain``) with the constant Z rate those bits set, at the
-  cut's step counts, conjugated to its pulse's phase.  An ideal pulse idles
-  through its slot and turns instantly at the slot's midpoint: the same form
-  at zero length, with a unit phase and one neighbour class per turning
-  qubit, the closed-form ``_kernels.turns`` at its pulse's phase.
-* A keyed dense propagator in its drive frame, everywhere else.  Where
-  every qubit sits in a delay or a square pulse, H is constant and the
-  propagator is exact (a phase when H is diagonal, else a scaled Taylor
-  series).  Where two adjacent qubits of P drive together (SIM cycles,
-  mid-pulse overlaps, a transverse field next to a pulsing qubit), it takes
-  fixed RK4 steps with drive coefficients sampled one-sidedly per step at
-  offsets into each segment, so envelopes never leak across segment
-  boundaries.  ``_kernels.rk4_evolve`` picks its path from the dimension
-  alone: up to dim 32 (``_kernels._RK4_PRODUCT_MAX_DIM``) it composes the
-  RK4 transfer matrices of its steps by a pairwise ordered product, in
-  chunks of at most 2**12 amplitudes, and applies the result to however
-  many columns it is given; above that it steps the columns matrix-free.
+  cut's step counts.  An ideal pulse idles through its slot and turns
+  instantly at the slot's midpoint: the same form at zero length, with a
+  unit phase and one neighbour class per turning qubit, the closed-form
+  ``_kernels.turns``.
+* A keyed dense propagator, everywhere else.  Where every qubit sits in a
+  delay or a square pulse, H is constant and the propagator is exact (a
+  phase when H is diagonal, else a scaled Taylor series).  Where two
+  adjacent qubits of P drive together (SIM cycles, mid-pulse overlaps, a
+  transverse field next to a pulsing qubit), it takes fixed RK4 steps with
+  drive coefficients sampled one-sidedly per step at offsets into each
+  segment, so envelopes never leak across segment boundaries.
 
-Pulsed intervals, square or shaped, that differ only in the drive phases of
-their pulses share one propagator, keyed by their pulsing qubits' keys: a
-pulse of phase phi on qubit q is the phase-0 pulse conjugated by
-exp(-i phi Z_q / 2), and that rotation commutes with the Z/ZZ diagonal (the
-virtual-Z identity, McKay et al., PRA 96, 022330 (2017)).  A pulsing
-qubit's static X/Y field is turned by -phi into the same frame and joins
-the key.  Each dense interval is applied as D P D^dag, D that diagonal
-rotation and P its phase-0 propagator: built once on the identity and
-reused wherever that is cheaper than propagating every occurrence (see
-``evolve``), else propagated on the rotated columns.  Delay-only intervals
-run unkeyed with D = 1.
+The drive frame.  A pulse of phase phi on qubit q is the phase-0 pulse
+conjugated by exp(-i phi Z_q / 2), which commutes with the Z/ZZ diagonal
+(the virtual-Z identity, McKay et al., PRA 96, 022330 (2017)); a pulsing
+qubit's static X/Y field is turned by -phi into the same frame.  Every
+interval is applied as D X D^dag, X its phase-0 form and D = exp(-i/2 sum_q
+phi_q Z_q) over the phases of its pulses, so pulsed intervals that differ
+only in drive phase share X, keyed by their pulsing qubits' keys and turned
+fields; delay-only intervals run unkeyed.
+
+The dense-build rule.  ``_kernels.rk4_evolve`` picks its path from the
+dimension alone: up to dim 32 (``_kernels._RK4_PRODUCT_MAX_DIM``) it builds
+the transfer product of its steps by a pairwise ordered product and applies
+it to however many columns it gets; above that it steps the columns
+matrix-free.  So a keyed dense propagator is built once on the identity and
+multiplied into every use whenever dim <= 32, and above that when the
+columns it would otherwise propagate (``ncol`` per use over all
+repetitions) number at least dim; else each use is propagated.
 
 Statevector dimension is capped at n = 14 qubits (dense representation).
 """
@@ -321,16 +322,15 @@ _NORM_TOL = 1e-9
 
 
 def _compile_cycle(device, schedules, samples_per_pulse, diag):
-    """One cycle as time-ordered spans ``(kind, key, phis, ...)``, in the two
-    forms of the module docstring:
+    """One cycle as time-ordered spans ``(kind, key, phis, ...)``, each at
+    phase 0 in a form of the module docstring, in the drive frame of ``phis``:
 
-    * ``("factored", None, None, phase, [(q, classes, turns), ...])``: the
+    * ``("factored", key, phis, phase, [(q, classes, turns), ...])``: the
       diagonal ``phase`` (dim,), then each listed qubit's turns ``turns[c]``,
       ``c`` the index of the distinct value of its Z rate ``b_q^z +
       sum_{p~q} J_qp z_p``.  ``classes`` holds ``c`` for every pair of basis
       states q turns, (2**q, 2**(n-q-1)) in ``_apply_single_qubit``'s
-      layout; ideal turns have a unit phase and ``classes`` (1, 1).  The
-      turns are already conjugated to their pulses' phases;
+      layout; ideal turns have a unit phase, ``classes`` (1, 1) and key None;
     * ``("exact", key, phis, t, ax, ay)``: H constant with rates ``ax, ay``
       (n,) for ``t``;
     * ``("rk4", key, phis, h, ax, ay)``: RK4 steps ``h`` with rates
@@ -340,12 +340,10 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
     ``(q, key, fx + i fy)`` of each pulsing qubit, ``key`` its part's
     phase-0 key in ``_common_cut`` and ``(fx, fy)`` its static X/Y field
     turned by its drive phase phi into the pulse frame,
-    ``(bx cos phi + by sin phi, by cos phi - bx sin phi)``.  Its rates are
-    the phase-0 pulses' plus the turned fields, sampled once per key, and
-    ``phis`` (n,) holds each pulsing qubit's drive phase (0 elsewhere): its
-    propagator is the key's conjugated by ``exp(-i/2 sum_q phis_q Z_q)``.
-    A delay-only interval, an ideal pulse's slot included, is keyed None
-    with ``phis`` 0.
+    ``(bx cos phi + by sin phi, by cos phi - bx sin phi)``; its rates are
+    the phase-0 pulses' plus the turned fields, and ``phis`` (n,) holds each
+    pulsing qubit's drive phase (0 elsewhere).  A delay-only interval, an
+    ideal pulse's slot included, is keyed None with ``phis`` 0.
     """
     n = device.n
     _check_capacity(n)
@@ -420,10 +418,16 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
     keyed = {}
     spans_out = []
     for i, lo in enumerate(edges):
-        if i in events:
-            spans_out.append(("factored", None, None, np.ones(1 << n), [
-                (q, np.zeros((1, 1), dtype=int), _kernels.turns(p.phase, p.flip_angle))
-                for q, p in events[i]]))
+        rank, layers = Counter(), {}  # a qubit's k-th instant here turns in span k
+        for q, p in events.get(i, ()):
+            layers.setdefault(rank[q], []).append((q, p))
+            rank[q] += 1
+        for layer in layers.values():
+            phis = np.zeros(n)
+            phis[[q for q, _ in layer]] = [p.phase for _, p in layer]
+            spans_out.append(("factored", None, phis, np.ones(1 << n), [
+                (q, np.zeros((1, 1), dtype=int), _kernels.turns(0.0, p.flip_angle))
+                for q, p in layer]))
         if i == len(pieces):
             break
         nst, parts = pieces[i]
@@ -436,14 +440,7 @@ def _compile_cycle(device, schedules, samples_per_pulse, diag):
                  else tables(parts, edges[i + 1] - lo, nst, field))
         if key is not None:
             keyed[key] = entry
-        if entry[0] == "factored":
-            # exp(-i phi Z/2) U exp(i phi Z/2): each turn at its pulse's phase
-            e = np.exp(1j * phis)
-            spans_out.append(("factored", None, None, entry[1], [
-                (q, classes, turns * np.array([[1.0, e[q].conjugate()], [e[q], 1.0]]))
-                for q, classes, turns in entry[2]]))
-        else:
-            spans_out.append((entry[0], key, phis, *entry[1:]))
+        spans_out.append((entry[0], key, phis, *entry[1:]))
     return spans_out
 
 
@@ -458,23 +455,23 @@ def _integrate(span, flat, diag, nq):
 
 
 def _run_cycle(spans, psi, diag, zsign, shared):
-    """Apply one compiled cycle.  A factored span is its diagonal phase and
-    then each qubit's turn, gathered by the class of every basis state.
-    Every other interval is ``D P D^dag`` with ``D = exp(-i/2 sum_q phis_q
-    Z_q)`` and ``P`` the phase-0 propagator ``shared`` holds for its key,
-    else ``_integrate`` at the span's rates."""
+    """Apply one compiled cycle, each span as ``D X D^dag`` (module docstring),
+    X the phase-0 propagator ``shared`` holds for its key, else a factored
+    span's diagonal phase and then each qubit's turn gathered by the class of
+    every basis state, else ``_integrate`` at the span's rates."""
     nq, dim = zsign.shape
     for span in spans:
         kind, key, phis = span[:3]
-        if kind == "factored":
-            flat = span[3][:, None] * psi.reshape(dim, -1)
-            for q, classes, turns in span[4]:
-                flat = _apply_single_qubit(flat, turns[classes], q, nq)
-            psi = flat.reshape(psi.shape)
-            continue
         d = np.exp(-0.5j * (phis @ zsign))[:, None]
         flat = d.conj() * psi.reshape(dim, -1)
-        flat = shared[key] @ flat if key in shared else _integrate(span, flat, diag, nq)
+        if key in shared:
+            flat = shared[key] @ flat
+        elif kind == "factored":
+            flat = span[3][:, None] * flat
+            for q, classes, turns in span[4]:
+                flat = _apply_single_qubit(flat, turns[classes], q, nq)
+        else:
+            flat = _integrate(span, flat, diag, nq)
         psi = (d * flat).reshape(psi.shape)
     return psi
 
@@ -483,14 +480,10 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256):
     """Propagate a statevector (or propagator columns) through ``repetitions``
     cycles of the per-qubit schedules.
 
-    Each interval takes one of the two forms of the module docstring;
-    ``samples_per_pulse`` per longest pulse set the CF4 step and the
-    coarsest RK4 step.  A key of a dense interval used ``uses`` times over
-    all repetitions is propagated once, on the identity, when that costs no
-    more than propagating each use directly (``dim <= ncol * uses``,
-    ``ncol`` the number of columns of ``psi0``), and then holds one dim x dim
-    array for the whole call; a statevector builds one only for a key it
-    would otherwise propagate at least ``dim`` times.
+    Each interval takes a form of the module docstring, in its drive frame,
+    and its dense-build rule decides which keyed propagators are built on
+    the identity (``ncol`` the columns of ``psi0``); ``samples_per_pulse``
+    per longest pulse set the CF4 step and the coarsest RK4 step.
     Raises IntegrationError when a column norm drifts beyond 1e-9
     (``_NORM_TOL``) or turns NaN, and ValueError for ``repetitions`` that is
     not an integer >= 0, for ``samples_per_pulse`` that is not an integer
@@ -509,11 +502,12 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256):
     diag = hamiltonian_diagonal(device)
     spans = _compile_cycle(device, schedules, samples_per_pulse, diag)
     ncol = psi.size // dim
-    uses = Counter(span[1] for span in spans if span[1] is not None)
+    uses = Counter(span[1] for span in spans if span[0] != "factored" and span[1] is not None)
     shared = {}
     for span in spans:
         key = span[1]
-        if key is not None and key not in shared and dim <= ncol * uses[key] * repetitions:
+        if key in uses and key not in shared and repetitions and dim <= max(
+                _kernels._RK4_PRODUCT_MAX_DIM, ncol * uses[key] * repetitions):
             shared[key] = _integrate(span, np.eye(dim, dtype=complex), diag, device.n)
     zsign = _zsign(device.n)
     for _ in range(repetitions):
@@ -527,10 +521,9 @@ def evolve(device, schedules, repetitions=1, psi0=None, samples_per_pulse=256):
 
 def cycle_propagator(device, schedules, samples_per_pulse=256):
     """One-cycle propagator matrix U(tau_c): the columns of the identity
-    evolved together by ``evolve``, through the two interval forms of the
-    module docstring.  With ``dim`` columns every keyed dense interval meets
-    the sharing rule, so each distinct one is propagated once per call and
-    its phase variants are diagonal conjugations of it."""
+    evolved together by ``evolve``.  With ``dim`` columns every keyed dense
+    interval meets the dense-build rule of the module docstring, so each is
+    built once per call and reused in each of its drive frames."""
     dim = 1 << device.n
     eye = np.eye(dim, dtype=complex)
     return evolve(device, schedules, repetitions=1, psi0=eye,

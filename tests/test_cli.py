@@ -1,6 +1,7 @@
 import argparse
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -185,6 +186,20 @@ class TestAnalyzeVerbs:
         assert "FAIL" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb,flag,value,rule", [
+        (("seq", "pad"), "--tau-d", "-1", "finite and >= 0"),
+        (("seq", "pad"), "--tau-d", "nan", "finite and >= 0"),
+        (("seq", "pad"), "--tau-d", "inf", "finite and >= 0"),
+        (("analyze", "trace"), "--samples", "8", ">= 16"),
+        (("verify",), "--tol", "nan", "finite and > 0")],
+        ids=["tau_d_negative", "tau_d_nan", "tau_d_inf", "samples_8", "tol_nan"])
+    def test_refusal_names_the_flag(self, tmp_path, sched_json, capsys, verb, flag, value,
+                                    rule):
+        out = tmp_path / "out"
+        assert run(*verb, "--schedule", str(sched_json), flag, value, "--out", str(out)) == 2
+        assert f"{flag} must be {rule}, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_fail_on_sim(self, tmp_path, seq_json, capsys):
         # catalog sequence applied simultaneously has unsuppressed ZZ entries
         assert run("verify", "--sequence", str(seq_json), "--samples", "64") == 0
@@ -236,6 +251,22 @@ class TestSimFitSummarizeReport:
         assert (plots / "survival.svg").read_text().startswith("<svg")
         box = (plots / "tau_gamma_box.svg").read_text()
         assert ">CR-XY4</text>" in box and ">CR-(XY4,UR12)</text>" in box
+
+    def test_box_plot_bottom_axis_holds_only_group_labels(self, tmp_path):
+        # a box plot draws no numeric x ticks: they would share the group
+        # labels' baseline and overlap them
+        plan = tiny_plan_json(tmp_path)
+        results, fits = tmp_path / "results.csv", tmp_path / "fits.csv"
+        assert run("sim", "run", "--plan", str(plan), "--seed", "1",
+                   "--out", str(results)) == 0
+        assert run("fit", "--in", str(results), "--out", str(fits)) == 0
+        plots = tmp_path / "plots"
+        assert run("report", "--results", str(results), "--fits", str(fits),
+                   "--out-dir", str(plots)) == 0
+        texts = re.findall(r'<text x="[^"]*" y="([^"]*)"[^>]*>([^<]*)</text>',
+                           (plots / "tau_gamma_box.svg").read_text())
+        baseline = {y for y, text in texts if text == "CR-XY4"}
+        assert [text for y, text in texts if y in baseline] == ["CR-XY4", "SIM-XY4-2"]
 
     def test_sim_run_deterministic(self, tmp_path):
         plan = tiny_plan_json(tmp_path)

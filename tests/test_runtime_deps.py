@@ -1,3 +1,4 @@
+import ast
 import functools
 import importlib
 import importlib.util
@@ -5,6 +6,7 @@ import inspect
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -23,6 +25,32 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_test_imports_are_installed_by_the_test_extra():
+    # ``pip install -e ".[test]"`` must bring every third-party module a test
+    # imports, as a runtime dependency or in the extra (each is imported
+    # under its distribution's name)
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    listed = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower()
+              for req in project["dependencies"] + project["optional-dependencies"]["test"]}
+    tests = os.path.join(root, "tests")
+    files = [name for name in os.listdir(tests) if name.endswith(".py")]
+    imported = set()
+    for name in files:
+        with open(os.path.join(tests, name)) as fh:
+            for node in ast.walk(ast.parse(fh.read())):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+    local = {"crdd"} | {name[:-3] for name in files}
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert {"hypothesis", "numpy", "pytest", "scipy"} <= third_party
+    assert sorted(third_party - listed) == []
 
 
 # ``import crdd`` itself is checked at the top of this file and, in a fresh

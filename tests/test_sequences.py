@@ -217,8 +217,13 @@ class TestPad:
                 assert r1 <= b0 + 1e-12 or b1 <= r0 + 1e-12
 
     def test_negative_tau_d(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau_d must be finite and >= 0"):
             pad(cr_dd("XY4", tau_p=1.0, shape=SQUARE), -1.0, "symmetric")
+
+    @pytest.mark.parametrize("tau_d", [math.nan, math.inf])
+    def test_non_finite_tau_d(self, tau_d):
+        with pytest.raises(ValueError, match="tau_d must be finite and >= 0"):
+            pad(cr_dd("XY4", tau_p=1.0, shape=SQUARE), tau_d, "symmetric")
 
     @pytest.mark.parametrize("kw", [dict(k=0), dict(k=1, mode="sideways")])
     def test_cr_dd_refuses_bad_padding(self, kw):

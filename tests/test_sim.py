@@ -304,8 +304,10 @@ def dense_square_cycle(dev, seqs):
 
 
 def direct_columns(dev, seqs):
-    """Propagator built one column at a time; a single column uses each
-    shaped key too few times to share it, so every interval runs RK4."""
+    """Propagator built one column at a time, each through its own
+    ``evolve``.  At dim <= 32 a single column builds the same keyed dense
+    propagators as the whole matrix, so this checks the per-column path
+    (drive frames, factored gathers, unkeyed intervals), not the keys."""
     eye = np.eye(1 << dev.n, dtype=complex)
     return np.column_stack([evolve(dev, seqs, psi0=e) for e in eye.T])
 
@@ -359,6 +361,7 @@ class TestSharedPhasePropagators:
         # second half; the pieces where one qubit pulses alone are factored
         assert calls == [(4, 4)] * 2
         assert np.abs(u - direct_columns(dev, seqs)).max() < 1e-12
+        assert np.abs(u - lab_frame_rk4(dev, seqs)).max() < 1e-10
 
     def test_transverse_field_falls_back(self, monkeypatch):
         dev = two_qubit_device(0.02, b=[[0.05, -0.02, 0.01], [0.0, 0.0, -0.03]])
@@ -376,18 +379,30 @@ class TestSharedPhasePropagators:
         assert np.abs(u - lab_frame_rk4(dev, seqs, 4096)).max() < 1e-12
 
     def test_repetitions_share_across_cycles(self, monkeypatch):
-        # one column over three cycles: the RK4 key used twice per cycle
-        # reaches 6 uses against a dimension of 4 and is shared; the RK4 key
-        # used once per cycle runs directly in every cycle, and the pieces
-        # where one qubit pulses alone are factored
+        # one column over three cycles: at dim 4 each of the two RK4 keys is
+        # built once on the identity and reused in every cycle, and the
+        # pieces where one qubit pulses alone are factored
         dev = two_qubit_device(0.02, b=[[0.0, 0.0, 0.01], [0.0, 0.0, -0.03]])
         seqs = mid_pulse_schedules()
         u = cycle_propagator(dev, seqs)
         psi0 = product_state(("+y", "-x"))
         calls = count_rk4_calls(monkeypatch)
         psi = evolve(dev, seqs, repetitions=3, psi0=psi0)
-        assert calls == [(4, 4)] + [(4, 1)] * 3
+        assert calls == [(4, 4)] * 2
         assert np.abs(psi - np.linalg.matrix_power(u, 3) @ psi0).max() < 1e-12
+
+    def test_one_column_builds_each_rk4_key_once(self, monkeypatch):
+        # a DRAG SIM-XY4-2 cycle at n = 4 has one RK4 key, used by all four
+        # pulses; at dim 16 a single column builds its transfer product once
+        # on the identity instead of once per use
+        dev = DeviceModel.default(n=4)
+        seqs = sim_dd("XY4", 2, dev.tau_p, DRAG)
+        u = cycle_propagator(dev, seqs)
+        psi0 = product_state(("+x", "-y", "+z", "-x"))
+        calls = count_rk4_calls(monkeypatch)
+        psi = evolve(dev, seqs, psi0=psi0)
+        assert calls == [(16, 16)]
+        assert np.abs(psi - u @ psi0).max() < 1e-12
 
 
 def random_device(graph, seed, transverse=(), tau_p=5.69e-8, j_tau_p=5e-3):
@@ -530,6 +545,19 @@ class TestIdealCycles:
             psi = evolve(dev, seqs, psi0=np.eye(8, dtype=complex)[:, k])
             assert np.abs(psi - u[:, k]).max() < 1e-12
 
+    def test_instants_of_one_qubit_at_one_edge_turn_in_order(self):
+        # zero-length ideal pulses back to back: qubit 0 turns by pi about X
+        # and then by pi/2 about Y at t = 0, while qubit 1 turns once there
+        dev = random_device(QubitGraph.path(2), seed=16, transverse=(0, 1))
+        tp = dev.tau_p
+        seqs = [Sequence((Segment.for_pulse(0.0, 0.0, IDEAL),
+                          Segment.for_pulse(PI / 2, 0.0, IDEAL, PI / 2), Segment.delay(tp))),
+                Sequence((Segment.for_pulse(0.3, 0.0, IDEAL), Segment.delay(tp)))]
+        u = cycle_propagator(dev, seqs)
+        assert np.abs(u - dense_ideal_cycle(dev, seqs)).max() < 1e-12
+        psi = evolve(dev, seqs, psi0=np.eye(4, dtype=complex)[:, 2])
+        assert np.abs(psi - u[:, 2]).max() < 1e-12
+
 
 class TestSharedSquarePropagators:
     def test_square_cr_cycle_propagates_each_key_once(self, monkeypatch):
@@ -541,6 +569,7 @@ class TestSharedSquarePropagators:
         calls = count_expm_calls(monkeypatch)
         u = cycle_propagator(dev, seqs)
         assert calls == [(16, 16)] * 2
+        assert np.abs(u - dense_square_cycle(dev, seqs)).max() < 1e-10
         assert np.abs(u - direct_columns(dev, seqs)).max() < 1e-12
 
     def test_square_mid_pulse_cut_matches_dense(self, monkeypatch):
@@ -576,15 +605,15 @@ class TestSharedSquarePropagators:
         assert np.abs(u - dense_square_cycle(dev, seqs)).max() < 1e-10
 
     def test_square_repetitions_share_across_cycles(self, monkeypatch):
-        # the key used three times per cycle (both qubits pulsing) is shared
-        # over three cycles; the other two keys and the delay run per cycle
+        # at dim 4 each of the three keys is built once on the identity and
+        # reused over three cycles; the unkeyed closing delay runs per cycle
         dev = two_qubit_device(0.02, b=[[0.0, 0.0, 0.01], [0.0, 0.0, -0.03]])
         seqs = mid_pulse_schedules(SQUARE)
         u = cycle_propagator(dev, seqs)
         psi0 = product_state(("+y", "-x"))
         calls = count_expm_calls(monkeypatch)
         psi = evolve(dev, seqs, repetitions=3, psi0=psi0)
-        assert calls == [(4, 4)] + [(4, 1)] * 9
+        assert calls == [(4, 4)] * 3 + [(4, 1)] * 3
         assert np.abs(psi - np.linalg.matrix_power(u, 3) @ psi0).max() < 1e-12
 
 

@@ -25,9 +25,12 @@
 ``expm_action``
     Exact action ``exp(-i t H) psi`` of a constant
     ``H = sum_q ax[q] X_q + ay[q] Y_q + diag`` on a statevector or on the
-    columns of a propagator matrix: a pure phase when H is diagonal, else the
-    scaled truncated Taylor series of Al-Mohy & Higham (SIAM J. Sci. Comput.
-    33, 2011) built on ``apply_h``.
+    columns of a propagator matrix: a pure phase when H is diagonal, else a
+    truncated Taylor series built on ``apply_h`` with the stopping rule of
+    Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011).  Like ``rk4_evolve``,
+    it picks its path from the shape of its input: on at least dim columns it
+    builds ``exp(-i t H)`` densely by scaling and squaring, matrix products
+    only, and multiplies it in; on fewer it steps the columns.
 
 ``rk4_evolve``
     Fixed-step RK4 for ``dpsi/dt = -i H(t) psi`` with the same H, its
@@ -178,30 +181,54 @@ def apply_h(psi, ax, ay, diag, nq):
     return -1j * out
 
 
+def _taylor_sum(x, h, apply):
+    """``x + h A x + (h A)**2 x / 2! + ...`` for ``|h A|_1 <= 1``, ``apply(y)``
+    giving ``A y``: the k-th term is at most 1/k of the one before and the
+    neglected tail is below the last term kept, so the series stops once a
+    term falls below 2**-53 of the running sum."""
+    term = x
+    k = 1
+    while True:
+        term = apply(term) * (h / k)
+        x = x + term
+        # written so that a NaN also ends the series
+        if not np.linalg.norm(term) > 2.0 ** -53 * np.linalg.norm(x):
+            return x
+        k += 1
+
+
 def expm_action(psi, ax, ay, diag, t, nq):
     """exp(-i t H) psi for constant per-qubit rates; psi shape (dim, ncol).
 
-    The series runs in ``s = ceil(|H|_1 t)`` steps of length ``h = t / s``,
-    with the exact 1-norm ``max|diag| + sum_q |ax_q + i ay_q|``.  Because
-    ``|h H|_2 <= |h H|_1 <= 1``, the k-th Taylor term is at most 1/k of the one
-    before and the neglected tail is below the last term kept, so each step
-    stops once a term falls below 2**-53 of the running sum.
+    A diagonal H is a pure phase.  Otherwise, with the exact 1-norm
+    ``|H|_1 = max|diag| + sum_q |ax_q + i ay_q|``:
+
+    * on at least ``dim`` columns, ``U = exp(-i t H)`` is built densely by
+      scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005):
+      ``-i H`` from ``apply_h`` on the identity, scaled by ``2**-s`` with
+      ``s = ceil(log2(|H|_1 t))`` so its 1-norm is at most 1, summed as a
+      Taylor series and squared ``s`` times; the result is ``U @ psi``;
+    * on fewer columns, the series acts on the columns in ``ceil(|H|_1 t)``
+      steps of length ``h = t / steps``, each at 1-norm at most 1.
+
+    Both sums use the stopping rule of Al-Mohy & Higham (SIAM J. Sci.
+    Comput. 33, 2011) in ``_taylor_sum``; neither calls LAPACK.
     """
     if not (np.any(ax) or np.any(ay)):
         return np.exp(-1j * t * diag)[:, None] * psi
     norm = float(np.abs(diag).max() + np.hypot(ax, ay).sum())
+    dim = psi.shape[0]
+    if psi.shape[1] >= dim:
+        eye = np.eye(dim, dtype=complex)
+        s = math.ceil(math.log2(norm * t)) if norm * t > 1.0 else 0
+        a = apply_h(eye, ax, ay, diag, nq)
+        u = _taylor_sum(eye, t / 2.0 ** s, lambda x: x @ a)
+        for _ in range(s):
+            u = u @ u
+        return u @ psi
     steps = max(1, math.ceil(norm * t))
-    h = t / steps
     for _ in range(steps):
-        term = psi
-        k = 1
-        while True:
-            term = apply_h(term, ax, ay, diag, nq) * (h / k)
-            psi = psi + term
-            # written so that a NaN also ends the series
-            if not np.linalg.norm(term) > 2.0 ** -53 * np.linalg.norm(psi):
-                break
-            k += 1
+        psi = _taylor_sum(psi, t / steps, lambda x: apply_h(x, ax, ay, diag, nq))
     return psi
 
 

@@ -219,7 +219,7 @@ def _cmd_sim_run(verb, rest):
     print(f"wrote {args.out}: {len(result.records)} traces, "
           f"{len(result.failures)} failures")
     for failure in result.failures:
-        print(f"  failed cell: {failure}", file=sys.stderr)
+        print(f"  failed block: {failure}", file=sys.stderr)
 
 
 def _cmd_fit(verb, rest):

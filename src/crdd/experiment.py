@@ -3,9 +3,10 @@ schedules, batch simulation, fitting, and summary tables.
 
 Durations are sampled at integer multiples of each method's cycle with equal
 pulse counts across active methods at every sampled point; IDLE runs pure
-delays matched to the partner methods' wall times.  Cells are deterministic
-under the master seed via counter-based per-cell generators, so results are
-independent of execution order.
+delays matched to the partner methods' wall times.  Each (embedding, method)
+block draws its shots from its own counter-based generator keyed by the
+master seed and the block's indices, so results are independent of the
+order blocks run in.
 """
 from __future__ import annotations
 
@@ -287,8 +288,9 @@ class ExperimentResult:
 
 def run_experiment(plan, out_path=None):
     """Execute every (embedding, state, method, duration) cell through the
-    exact simulator.  Per-cell failures are recorded and the run continues.
-    Writes the results CSV incrementally when ``out_path`` is given."""
+    exact simulator.  A failure is recorded per (embedding, method) block,
+    which can be re-run on its own, and the run continues.  Writes the
+    results CSV incrementally when ``out_path`` is given."""
     specs = [parse_method(m) for m in plan.methods]
     timing = {}
     for s in specs:
@@ -338,7 +340,9 @@ def run_experiment(plan, out_path=None):
 def _run_method_cells(plan, sub, spec, method_points, encs, e_idx, m_idx):
     """Survival points for every (state, duration) of one method on one
     embedding, one point list per column (encoded state) of ``encs``; every
-    state's p0 at a duration comes from one ``U @ encs`` product."""
+    state's p0 at a duration comes from one ``U @ encs`` product, and the
+    block's (duration, state) counts from one ``sample_survival`` draw on
+    ``shot_rng(seed, e_idx, m_idx)``."""
     if spec.kind == "idle":
         props = (cycle_propagator(sub, idle_schedule(dur),
                                   samples_per_pulse=plan.samples_per_pulse)
@@ -350,14 +354,11 @@ def _run_method_cells(plan, sub, spec, method_points, encs, e_idx, m_idx):
         u_cycle = cycle_propagator(sub, schedules, samples_per_pulse=plan.samples_per_pulse)
         cache = [u_cycle]
         props = (_binary_power(u_cycle, cache, cycles) for cycles, _, _ in method_points)
-    cells = [[] for _ in range(encs.shape[1])]
-    for d_idx, (u, (_, dur, pulses)) in enumerate(zip(props, method_points)):
-        p0 = survival_probability(encs, u @ encs)
-        for s_idx, cell in enumerate(cells):
-            rng = shot_rng(plan.seed, e_idx, (m_idx << 32) | s_idx, d_idx)
-            zeros = sample_survival((p0[s_idx], 1.0 - p0[s_idx]), plan.shots, rng)
-            cell.append(SurvivalPoint(dur, pulses, plan.shots, zeros, zeros / plan.shots))
-    return cells
+    p0 = np.array([survival_probability(encs, u @ encs) for u in props])
+    zeros = sample_survival(p0, plan.shots, shot_rng(plan.seed, e_idx, m_idx)).tolist()
+    return [[SurvivalPoint(dur, pulses, plan.shots, z[s_idx], z[s_idx] / plan.shots)
+             for z, (_, dur, pulses) in zip(zeros, method_points)]
+            for s_idx in range(encs.shape[1])]
 
 
 # ---------------------------------------------------------------------------

@@ -586,8 +586,8 @@ def sim_variant(phases, tau_p, tau_d, shape, name=""):
     """Simultaneous DD: per slot one pulse followed by a delay tau_d."""
     if len(phases) == 0:
         raise ValueError("empty phase list")
-    if tau_d < 0:
-        raise ValueError("tau_d must be >= 0")
+    if not (math.isfinite(tau_d) and tau_d >= 0):
+        raise ValueError(f"tau_d must be finite and >= 0, got {tau_d}")
     segs = []
     for p in phases:
         segs.extend(_slot([Segment.for_pulse(p, tau_p, shape), Segment.delay(tau_d)]))

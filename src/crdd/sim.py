@@ -43,7 +43,10 @@ it to however many columns it gets; above that it steps the columns
 matrix-free.  So a keyed dense propagator is built once on the identity and
 multiplied into every use whenever dim <= 32, and above that when the
 columns it would otherwise propagate (``ncol`` per use over all
-repetitions) number at least dim; else each use is propagated.
+repetitions) number at least dim; else each use is propagated.  On the
+identity's dim columns ``_kernels.expm_action`` builds an exact propagator
+as a dense matrix, the Taylor series of the scaled H squared back up
+(matrix products only); on fewer columns its series acts on the columns.
 
 Statevector dimension is capped at n = 14 qubits (dense representation).
 """
@@ -569,15 +572,14 @@ def survival_probability(encoded, evolved):
     return np.abs((np.conj(encoded) * evolved).sum(axis=0)) ** 2
 
 
-def sample_survival(probs, shots, rng):
-    """All-zeros count of ``shots`` categorical draws: the uniforms ``rng.choice``
-    would draw, counted below outcome 0's cumulative share.  Negative rounding
-    is clipped; NaN, infinite or all-zero probabilities raise ValueError."""
+def sample_survival(p0, shots, rng):
+    """All-zeros counts of ``shots`` shots at each survival probability of
+    ``p0``: ``rng.binomial(shots, p0)`` in p0's shape, the law of counting
+    ``shots`` uniforms below p0.  Rounding below 0 or above 1 is clipped; a
+    NaN or infinite p0 and ``shots < 1`` raise ValueError."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p = np.maximum(np.asarray(probs, dtype=float).ravel(), 0.0)
-    total = p.sum()
-    if not (math.isfinite(total) and total > 0):
-        raise ValueError(f"probabilities must be finite and not all zero (sum {total})")
-    cdf = np.cumsum(p / total)
-    return int(np.count_nonzero(rng.random(shots) < cdf[0] / cdf[-1]))
+    p = np.asarray(p0, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"survival probabilities must be finite, got {p[~np.isfinite(p)][0]}")
+    return rng.binomial(shots, np.clip(p, 0.0, 1.0))

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import crdd.experiment as exp
 from crdd.experiment import (
     AlignmentError, ExperimentPlan, ExperimentResult, FitRow, default_plan, fit_dataset,
     mean_by_duration, parse_method, read_fits_csv, read_results_csv,
@@ -205,8 +206,6 @@ class TestRunExperiment:
                 assert (a.duration, a.pulse_count) == (b.duration, b.pulse_count)
 
     def test_failed_cells_are_logged_and_run_continues(self, monkeypatch):
-        import crdd.experiment as exp
-
         original = exp.cycle_propagator
 
         def flaky(device, schedules, samples_per_pulse=256, **kw):
@@ -246,9 +245,11 @@ class TestRunExperiment:
 
 def per_cell_readout(plan, result):
     """Every cell of ``result`` recomputed on its own: encode the state,
-    apply the duration's propagator, decode all basis probabilities and draw
-    the shots with ``rng.choice`` under the cell's key; maps (method,
-    embedding, state, duration index) to (zeros, p0)."""
+    apply the duration's propagator and decode all basis probabilities, the
+    all-zeros one being the cell's p0; each (embedding, method) block's
+    counts are then one ``rng.binomial`` on the (duration, state) p0 array
+    under the block's key.  Maps (method, embedding, state, duration index)
+    to (zeros, p0)."""
     device = plan.device.colored()
     out = {}
     for e_idx, emb in enumerate(plan.embeddings):
@@ -265,6 +266,7 @@ def per_cell_readout(plan, result):
                                        coloring=sub.graph.coloring)(sub.n)
                 u_cycle = cycle_propagator(sub, schedules,
                                            samples_per_pulse=plan.samples_per_pulse)
+            p0 = np.empty((len(points), len(states)))
             for d_idx, pt in enumerate(points):
                 if spec.kind == "idle":
                     u = cycle_propagator(sub, idle_schedule(pt.duration_s),
@@ -274,13 +276,41 @@ def per_cell_readout(plan, result):
                         u_cycle, pt.pulses_applied // schedules[0].pulse_count)
                 for s_idx, state in enumerate(states):
                     probs = decode_probabilities(u @ product_state(state.poles), state.poles)
-                    rng = shot_rng(plan.seed, e_idx, (m_idx << 32) | s_idx, d_idx)
-                    p = np.clip(probs, 0.0, None)
-                    p = p / p.sum()
-                    draws = rng.choice(p.size, size=plan.shots, p=p)
-                    zeros = int(np.count_nonzero(draws == 0))
-                    out[(label, emb_id, state.label, d_idx)] = (zeros, zeros / plan.shots)
+                    p0[d_idx, s_idx] = probs[0]
+            rng = shot_rng(plan.seed, e_idx, m_idx)
+            zeros = rng.binomial(plan.shots, np.clip(p0, 0.0, 1.0))
+            for (d_idx, s_idx), z in np.ndenumerate(zeros):
+                out[(label, emb_id, states[s_idx].label, d_idx)] = (z, z / plan.shots)
     return out
+
+
+def block_counts(result, method, emb_id="0-1"):
+    """(state, duration index) -> zero count of one (embedding, method) block."""
+    return {(r.state_id, d_idx): pt.zero_count for r in result.records
+            if (r.method, r.embedding_id) == (method, emb_id)
+            for d_idx, pt in enumerate(r.points)}
+
+
+def run_block(plan, m_idx, e_idx=0):
+    """One (embedding, method) block run on its own, with the arguments
+    ``run_experiment`` would hand ``_run_method_cells``: (state, duration
+    index) -> zero count."""
+    sub = plan.device.subdevice(plan.embeddings[e_idx])
+    timing = {}
+    for label in plan.methods:
+        spec = parse_method(label)
+        if spec.kind == "idle":
+            timing[label] = (0, 0.0)
+        else:
+            cycle = built_cycle(spec, plan.device.tau_p, plan.shape)
+            timing[label] = (cycle.pulse_count, cycle.duration)
+    points = schedule_points(timing, plan.target_pulses, plan.spacing, plan.max_points)
+    states = prepare_states(sub.n, plan.count_type1, plan.count_type2, plan.states_seed)
+    encs = np.column_stack([product_state(st.poles) for st in states])
+    spec = parse_method(plan.methods[m_idx])
+    cells = exp._run_method_cells(plan, sub, spec, points[spec.label], encs, e_idx, m_idx)
+    return {(st.label, d_idx): pt.zero_count
+            for st, cell in zip(states, cells) for d_idx, pt in enumerate(cell)}
 
 
 class TestReadout:
@@ -300,8 +330,46 @@ class TestReadout:
                for r in res.records for d_idx, pt in enumerate(r.points)}
         assert got == per_cell_readout(plan, res)
 
+    def block_plan(self):
+        device = DeviceModel.default(n=2, j_tau_p=0.05, seed=5)
+        return tiny_plan(device=device, methods=("IDLE", "SIM-XY4-2", "CR-XY4"),
+                         target_pulses=4 * 2 ** 5, spacing="log2", shots=200,
+                         count_type1=6, count_type2=2)
+
+    def test_block_reproducible_from_its_key_alone(self):
+        # one (embedding, method) block, run with nothing else of the plan
+        # before it, draws the counts the whole run recorded
+        plan = self.block_plan()
+        alone = run_block(plan, 1)
+        assert alone == block_counts(run_experiment(plan), "SIM-XY4-2")
+        # the key is (seed, embedding, method): another seed draws other counts
+        other = run_experiment(dataclasses.replace(plan, seed=plan.seed + 1))
+        assert block_counts(other, "SIM-XY4-2") != alone
+
+    def test_blocks_in_reverse_order_draw_the_same_counts(self):
+        plan = self.block_plan()
+        res = run_experiment(plan)
+        for m_idx in reversed(range(len(plan.methods))):
+            assert run_block(plan, m_idx) == block_counts(res, plan.methods[m_idx]), m_idx
+
+    def test_nan_p0_is_the_blocks_failure(self, monkeypatch):
+        plan = self.block_plan()
+        propagator = exp.cycle_propagator
+
+        def nan_for_cr(sub, schedules, **kwargs):
+            u = propagator(sub, schedules, **kwargs)
+            # only a CR cycle gives the two colours different schedules
+            crosses = isinstance(schedules, list) and schedules[0] is not schedules[1]
+            return u * np.nan if crosses else u
+
+        monkeypatch.setattr(exp, "cycle_propagator", nan_for_cr)
+        res = run_experiment(plan)
+        [(emb_id, label, message)] = res.failures
+        assert (emb_id, label) == ("0-1", "CR-XY4")
+        assert "must be finite, got nan" in message
+        assert {r.method for r in res.records} == {"IDLE", "SIM-XY4-2"}
+
     def test_default_plan_decodes_nothing_and_encodes_once(self, monkeypatch):
-        import crdd.experiment as exp
         import crdd.sim as sim
 
         calls = {"decode": 0, "encode": 0}

@@ -133,6 +133,11 @@ class TestSimVariant:
         with pytest.raises(ValueError):
             sim_variant((0.0,), 1.0, -1.0, SQUARE)
 
+    @pytest.mark.parametrize("tau_d", [-1.0, math.nan, math.inf, -math.inf])
+    def test_refuses_tau_d_by_name(self, tau_d):
+        with pytest.raises(ValueError, match=f"tau_d must be finite and >= 0, got {tau_d}"):
+            sim_variant((0.0,), 1.0, tau_d, SQUARE)
+
 
 @pytest.mark.parametrize("k", [0, -1, 2.5, 2.0, True, "2"])
 def test_sim_and_cr_dd_refuse_k_that_is_not_a_positive_integer(k):

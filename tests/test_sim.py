@@ -617,39 +617,52 @@ class TestSharedSquarePropagators:
         assert np.abs(psi - np.linalg.matrix_power(u, 3) @ psi0).max() < 1e-12
 
 
-def choice_survival(probs, shots, rng):
-    """The categorical draw ``sample_survival`` must reproduce: normalize,
-    draw ``shots`` outcomes with ``rng.choice`` and count the all-zeros one."""
-    p = np.clip(np.asarray(probs, dtype=float).ravel(), 0.0, None)
-    p = p / p.sum()
-    draws = rng.choice(p.size, size=shots, p=p)
-    return int(np.count_nonzero(draws == 0))
-
-
 class TestSurvival:
     @pytest.mark.parametrize("size", [1, 2, 16, 1024])
     def test_counts_equal_categorical_draw(self, size):
+        # the all-zeros count of ``shots`` categorical draws is
+        # Binomial(shots, p0): one ``rng.binomial`` on the same key over a p0
+        # array of ``size`` entries, laid out (durations, states) from 16 on
+        shape = (size,) if size < 16 else (size // 4, 4)
         gen = np.random.default_rng(size)
         for i in range(2000):
             p = gen.uniform(size=size) ** 3
             p[gen.integers(0, size, size // 4)] = 0.0  # zero entries
             if i % 3 == 0:
-                p[gen.integers(0, size)] = -1e-17  # negative rounding
-            if i % 7 == 0 and size == 2:
-                p = np.array([1.0 + 2e-16, -2e-16])  # (p0, 1 - p0) just past 1
-            if not p.max() > 0:
-                p[-1] = 1.0
+                p[gen.integers(0, size)] = -1e-17  # rounding below 0
+            if i % 7 == 0:
+                p[gen.integers(0, size)] = 1.0 + 2e-16  # rounding above 1
             shots = int(gen.integers(1, 400))
-            got = sample_survival(p, shots, shot_rng(17, size, i))
-            assert got == choice_survival(p, shots, shot_rng(17, size, i)), (size, i)
+            got = sample_survival(p.reshape(shape), shots, shot_rng(17, size, i))
+            want = shot_rng(17, size, i).binomial(shots, np.clip(p, 0.0, 1.0))
+            assert got.shape == shape, (size, i)
+            assert np.array_equal(got.ravel(), want), (size, i)
 
-    @pytest.mark.parametrize("probs, shots", [
-        ([math.nan, 0.5], 10), ([0.5, math.inf], 10), ([0.0, 0.0], 10),
-        ([0.0, -1e-17], 10), ([0.5, 0.5], 0), ([0.5, 0.5], -2),
-    ], ids=["nan", "inf", "all_zero", "zero_and_negative", "no_shots", "negative_shots"])
-    def test_refuses_unusable_input(self, probs, shots):
+    def test_counts_follow_the_binomial_law(self):
+        # at fixed p, one count per key over 2,000 keys: the sample mean and
+        # variance each lie within z = 4.5 of Binomial(shots, p)'s, by their
+        # normal approximations.  Each statistic falsely alarms with
+        # probability 6.8e-6, so the six together at most 4.1e-5.
+        shots, keys, z = 100, 2000, 4.5
+        p = np.array([0.05, 0.5, 0.93])
+        counts = np.array([sample_survival(p, shots, shot_rng(23, k)) for k in range(keys)])
+        var = shots * p * (1 - p)
+        fourth = var * (1 + 3 * (shots - 2) * p * (1 - p))  # central moment
+        assert np.all(np.abs(counts.mean(axis=0) - shots * p) < z * np.sqrt(var / keys))
+        var_sd = np.sqrt((fourth - var ** 2 * (keys - 3) / (keys - 1)) / keys)
+        assert np.all(np.abs(counts.var(axis=0, ddof=1) - var) < z * var_sd)
+
+    def test_certain_outcomes(self):
+        # p0 = 0 and p0 = 1, or rounding past either, leave nothing to draw
+        p0 = np.array([[0.0, -1e-17], [1.0, 1.0 + 2e-16]])
+        assert sample_survival(p0, 50, shot_rng(8)).tolist() == [[0, 0], [50, 50]]
+
+    @pytest.mark.parametrize("p0, shots", [
+        ([math.nan, 0.5], 10), ([0.5, math.inf], 10), ([0.5, 0.5], 0), ([0.5, 0.5], -2),
+    ], ids=["nan", "inf", "no_shots", "negative_shots"])
+    def test_refuses_unusable_input(self, p0, shots):
         with pytest.raises(ValueError):
-            sample_survival(probs, shots, shot_rng(5))
+            sample_survival(p0, shots, shot_rng(5))
 
     def test_zero_noise_unit_survival(self):
         dev = two_qubit_device(0.0)
@@ -659,7 +672,7 @@ class TestSurvival:
         enc = product_state(state.poles)
         psi = evolve(dev, seqs, repetitions=2, psi0=enc)
         p0 = survival_probability(enc, psi)
-        zeros = sample_survival((p0, 1.0 - p0), 200, shot_rng(3))
+        zeros = sample_survival(p0, 200, shot_rng(3))
         assert zeros / 200 == 1.0
         assert 2 * sched.red.pulse_count == 8
         assert 2 * sched.red.duration == pytest.approx(16.0)
@@ -677,7 +690,7 @@ class TestSurvival:
         probs = decode_probabilities(psi, state.poles)
         assert np.abs(probs - probs_oracle).max() < 1e-10
         rng = shot_rng(11)
-        zeros = sample_survival(probs, 200000, rng)
+        zeros = sample_survival(probs[0], 200000, rng)
         p_hat = zeros / 200000
         sigma = math.sqrt(probs_oracle[0] * (1 - probs_oracle[0]) / 200000)
         assert abs(p_hat - probs_oracle[0]) < 5 * sigma
@@ -691,7 +704,7 @@ class TestSurvival:
         p0 = survival_probability(enc, evolve(dev, idle_schedule(1.0), psi0=enc))
         hits = 0
         for seed in range(100):
-            zeros = sample_survival((p0, 1.0 - p0), 1000, shot_rng(seed))
+            zeros = sample_survival(p0, 1000, shot_rng(seed))
             if 0.45 <= zeros / 1000 <= 0.55:
                 hits += 1
         assert hits >= 93
